@@ -5,7 +5,10 @@ Commands:
   verify    classify a labeling file against a graph
   search    exhaustive labeling search; prints a witness or a certificate
   feasible  divisibility necessary condition, single graph or parameter range
-  census    stream a graph6 corpus through the search, one JSON row per graph
+  census    run a graph6 corpus through the search, one JSON row per graph;
+            the input is read in full first, rows stream out in input order,
+            and --time-limit / --node-limit apply per graph, across both the
+            Leech and the almost search
 
 Exit codes separate mathematical verdicts from operational errors so scripts
 can assert results directly:
@@ -32,24 +35,21 @@ import argparse
 import json
 import os
 import sys
-from collections import deque
-from concurrent.futures import ProcessPoolExecutor
+from collections import Counter
 
 from . import families, formulas
 from .errors import (
     ConfigInvalidError,
     EmptyGraphError,
     FormulaDomainError,
-    LabelCountMismatchError,
     LeechLabError,
-    ParseError,
     TooSmallError,
     UnknownPresetError,
 )
 from .graph import Graph, census
-from .graphio import format_labeling, graph6_decode, load_graph, load_labeling
+from .graphio import format_labeling, load_graph, load_labeling
 from .labeling import Verdict, classify
-from .search import Mode, SearchConfig, Status, _corpus_row, search
+from .search import Mode, SearchConfig, Status, census_corpus, search
 
 SCHEMA = "leechlab/1"
 
@@ -377,68 +377,35 @@ def cmd_feasible(args) -> int:
     return EXIT_NOT_APPLICABLE
 
 
-def _census_line_row(job):
-    index, line, time_limit, node_limit = job
-    try:
-        g = graph6_decode(line)
-    except LeechLabError as exc:
-        return {
-            "index": index, "n": None, "m": None, "t_gp": None,
-            "verdict": "error", "nodes": 0, "millis": 0.0, "error": str(exc),
-        }
-    row = _corpus_row((index, g, time_limit, node_limit))
-    out = {
-        "index": row.index, "n": row.n, "m": row.m, "t_gp": row.t_gp,
-        "verdict": row.verdict, "nodes": row.nodes, "millis": round(row.millis, 3),
-    }
-    if row.witness is not None:
-        out["witness"] = list(row.witness.labels)
-    if row.error is not None:
-        out["error"] = row.error
-    return out
-
-
 def cmd_census(args) -> int:
     if not args.inputs:
         raise _CliError("census needs a graph6 file ('-' for stdin)", EXIT_USAGE)
     path = args.inputs[0]
-    stream = sys.stdin if path == "-" else open(path, "r", encoding="ascii")
-    counts: dict[str, int] = {}
-
-    def jobs():
-        index = 0
-        for raw in stream:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            yield (index, line, args.time_limit, args.node_limit)
-            index += 1
-
-    def rows():
-        if args.workers <= 1:
-            for job in jobs():
-                yield _census_line_row(job)
-        else:
-            # bounded submission window keeps the input streaming
-            with ProcessPoolExecutor(max_workers=args.workers) as pool:
-                pending = deque()
-                for job in jobs():
-                    pending.append(pool.submit(_census_line_row, job))
-                    if len(pending) >= args.workers * 4:
-                        yield pending.popleft().result()
-                while pending:
-                    yield pending.popleft().result()
-
-    try:
-        for row in rows():
-            counts[row["verdict"]] = counts.get(row["verdict"], 0) + 1
-            print(json.dumps(row), flush=True)
-    finally:
-        if stream is not sys.stdin:
-            stream.close()
-    summary = {
-        key: counts.get(key, 0) for key in ("leech", "almost", "neither", "timeout", "error")
-    }
+    if path == "-":
+        text = sys.stdin.read()
+    else:
+        with open(path, "r", encoding="ascii") as fh:
+            text = fh.read()
+    lines = [line.strip() for line in text.splitlines()]
+    rows = census_corpus(
+        [line for line in lines if line and not line.startswith("#")],
+        time_limit=args.time_limit,
+        node_limit=args.node_limit,
+        workers=args.workers,
+    )
+    counts = Counter()
+    for row in rows:
+        out = {
+            "index": row.index, "n": row.n, "m": row.m, "t_gp": row.t_gp,
+            "verdict": row.verdict, "nodes": row.nodes, "millis": round(row.millis, 3),
+        }
+        if row.witness is not None:
+            out["witness"] = list(row.witness.labels)
+        if row.error is not None:
+            out["error"] = row.error
+        counts[row.verdict] += 1
+        print(json.dumps(out), flush=True)
+    summary = {key: counts[key] for key in ("leech", "almost", "neither", "timeout", "error")}
     print(json.dumps({"schema": SCHEMA, "command": "census", "summary": summary}))
     print(
         " ".join(f"{key}={value}" for key, value in summary.items()),
@@ -494,11 +461,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--range", help="evaluate a parameter range A..B (family cycle or knn)")
     p.set_defaults(fn=cmd_feasible)
 
-    p = sub.add_parser("census", help="stream a graph6 corpus through the search")
+    p = sub.add_parser("census", help="read a graph6 corpus in full, then stream one JSON row per graph in input order")
     add_common(p, with_json=False)
     p.add_argument("--workers", type=int, default=_default_workers(), help="parallel workers (default from LEECHLAB_WORKERS)")
-    p.add_argument("--time-limit", type=float, default=None, help="per-graph wall-clock limit in seconds")
-    p.add_argument("--node-limit", type=int, default=None, help="per-graph node limit")
+    p.add_argument("--time-limit", type=float, default=None, help="per-graph wall-clock limit in seconds, across both searches")
+    p.add_argument("--node-limit", type=int, default=None, help="per-graph node limit, across both searches")
     p.set_defaults(fn=cmd_census)
 
     return parser
@@ -515,13 +482,7 @@ def main(argv=None) -> int:
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ParseError, LabelCountMismatchError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except LeechLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except FileNotFoundError as exc:
+    except (LeechLabError, FileNotFoundError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

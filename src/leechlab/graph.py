@@ -237,21 +237,24 @@ def count_geodesics(g: Graph) -> int:
 
 def census(g: Graph) -> GeodesicCensus:
     """Full geodesic census built from explicit enumeration."""
-    paths = enumerate_geodesics(g)
+    return _census_of(g, enumerate_geodesics(g))
+
+
+def _census_of(g: Graph, paths: list[GeodesicPath]) -> GeodesicCensus:
+    """Census of g from its already enumerated geodesics.
+
+    The diameter is the longest geodesic: every connected pair at distance d
+    has a geodesic of length d.
+    """
     by_length: dict[int, int] = {}
     per_edge = [0] * g.edge_count
     for p in paths:
         by_length[p.length] = by_length.get(p.length, 0) + 1
         for eid in p.edge_ids:
             per_edge[eid] += 1
-    diameter = 0
-    for u in range(g.vertex_count):
-        for d in distances(g, u):
-            if d != INFINITY and d > diameter:
-                diameter = d
     return GeodesicCensus(
         total=len(paths),
         by_length=by_length,
         per_edge=tuple(per_edge),
-        diameter=int(diameter),
+        diameter=max(by_length, default=0),
     )

@@ -28,9 +28,9 @@ class Labeling:
     labels: tuple[int, ...]
 
     def __post_init__(self):
-        bad = [x for x in self.labels if x < 1]
+        bad = [x for x in self.labels if isinstance(x, bool) or not isinstance(x, int) or x < 1]
         if bad:
-            raise NonPositiveLabelError(f"labels must be >= 1, got {bad}")
+            raise NonPositiveLabelError(f"labels must be positive integers, got {bad}")
 
     @property
     def total(self) -> int:
@@ -75,13 +75,30 @@ def as_labeling(labels) -> Labeling:
     return Labeling(tuple(labels))
 
 
+def verdict_of(weights, t: int) -> Verdict:
+    """Verdict of a multiset of geodesic weights, given the geodesic path number t.
+
+    Geodesic Leech means the weights are exactly {1, ..., t}. Almost means
+    every weight lies in 1..t, exactly one of those values is missing and
+    exactly one weight occurs exactly twice. A value of multiplicity three
+    or more is never almost.
+    """
+    counts = Counter(weights)
+    if any(w < 1 or w > t for w in counts):
+        return Verdict.NEITHER
+    repeated = [c for c in counts.values() if c > 1]
+    if not repeated and len(counts) == t:
+        return Verdict.GEODESIC_LEECH
+    if repeated == [2] and len(counts) == t - 1:
+        return Verdict.ALMOST_GEODESIC_LEECH
+    return Verdict.NEITHER
+
+
 def classify(g: Graph, lab: Labeling | Sequence[int]) -> ClassificationReport:
     """Classify a labeling as geodesic Leech, almost geodesic Leech, or neither.
 
-    Geodesic Leech means the multiset of geodesic weights is exactly
-    {1, ..., t_gp}. Almost means exactly one of those values is missing,
-    exactly one weight occurs exactly twice, and nothing exceeds t_gp.
-    A value of multiplicity three or more is never almost.
+    The verdict is verdict_of the geodesic weights; the report adds the
+    missing, duplicated and overshooting values behind it.
 
     t_gp is always recomputed from enumeration, never from closed forms, so
     the classifier stays correct on arbitrary input graphs.
@@ -98,20 +115,8 @@ def classify(g: Graph, lab: Labeling | Sequence[int]) -> ClassificationReport:
     missing = tuple(v for v in range(1, t_gp + 1) if v not in counts)
     duplicates = tuple((v, c) for v, c in sorted(counts.items()) if c > 1)
     overshoot = tuple(sorted(v for v in counts if v > t_gp))
-
-    if weights == list(range(1, t_gp + 1)):
-        verdict = Verdict.GEODESIC_LEECH
-    elif (
-        len(missing) == 1
-        and len(duplicates) == 1
-        and duplicates[0][1] == 2
-        and not overshoot
-    ):
-        verdict = Verdict.ALMOST_GEODESIC_LEECH
-    else:
-        verdict = Verdict.NEITHER
     return ClassificationReport(
-        verdict=verdict,
+        verdict=verdict_of(weights, t_gp),
         t_gp=t_gp,
         weight_multiset=tuple(weights),
         missing=missing,

@@ -29,15 +29,16 @@ from __future__ import annotations
 import enum
 import math
 import time
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from typing import Iterator
 
 from .errors import ConfigInvalidError, EmptyGraphError, UnknownPresetError
 from .families import beineke_graphs, complete, cycle, prism, wheel
 from .formulas import as_even_cycle, cycle_length, max_label_bound
-from .graph import Graph, census, enumerate_geodesics
-from .labeling import Labeling, Verdict, classify
+from .graph import Graph, _census_of, enumerate_geodesics
+from .graphio import graph6_decode
+from .labeling import Labeling, Verdict, classify, verdict_of
 
 ALL_RULES = (
     "distinct_label",
@@ -61,6 +62,10 @@ class Status(enum.Enum):
     EXHAUSTED_NONE = "exhausted-none"
     TIMED_OUT = "timed-out"
     NODE_LIMIT = "node-limit"
+
+
+# the verdict a witness of each mode must earn
+_TARGET = {Mode.LEECH: Verdict.GEODESIC_LEECH, Mode.ALMOST: Verdict.ALMOST_GEODESIC_LEECH}
 
 
 @dataclass(frozen=True)
@@ -130,7 +135,7 @@ class _Prepared:
     """Static data shared by every node of one search."""
 
     __slots__ = (
-        "g", "mode", "paths", "t", "m", "per_edge", "order", "k_by_depth",
+        "g", "mode", "paths", "t", "m", "order", "k_by_depth",
         "suffix_gcd", "ks_desc_by_depth", "max_label", "plain_lo", "plain_hi",
         "weighted_lo", "weighted_hi", "forced_sum", "completed_at", "rules",
         "find_all", "time_limit", "node_limit", "leech", "symmetry",
@@ -149,13 +154,10 @@ class _Prepared:
             raise ConfigInvalidError(f"unknown pruning rules: {sorted(unknown)}")
 
         self.paths = enumerate_geodesics(g)
-        self.t = len(self.paths)
+        c = _census_of(g, self.paths)
+        per_edge = c.per_edge
+        self.t = c.total
         self.m = g.edge_count
-        per_edge = [0] * self.m
-        for p in self.paths:
-            for eid in p.edge_ids:
-                per_edge[eid] += 1
-        self.per_edge = per_edge
 
         self.order = sorted(range(self.m), key=lambda e: (-per_edge[e], e))
         pos = {eid: d for d, eid in enumerate(self.order)}
@@ -177,7 +179,7 @@ class _Prepared:
         if cfg.max_label is not None:
             self.max_label = cfg.max_label
         elif self.leech and derive_bounds:
-            self.max_label = max_label_bound(g, census(g)).max_label
+            self.max_label = max_label_bound(g, c).max_label
         else:
             self.max_label = t
 
@@ -236,17 +238,8 @@ class _Prepared:
 
 def _leaf_matches(prep: _Prepared, labels: list[int]) -> bool:
     """Authoritative leaf check, independent of which pruning rules ran."""
-    weights = sorted(sum(labels[e] for e in p.edge_ids) for p in prep.paths)
-    t = prep.t
-    if prep.leech:
-        return weights == list(range(1, t + 1))
-    counts = Counter(weights)
-    if any(w > t or w < 1 for w in counts):
-        return False
-    doubled = [v for v, c in counts.items() if c == 2]
-    if any(c > 2 for c in counts.values()) or len(doubled) != 1:
-        return False
-    return len(counts) == t - 1
+    weights = [sum(labels[e] for e in p.edge_ids) for p in prep.paths]
+    return verdict_of(weights, prep.t) is _TARGET[prep.mode]
 
 
 def _search_single(prep: _Prepared, first_values=None):
@@ -427,7 +420,7 @@ def _search_single(prep: _Prepared, first_values=None):
 
 
 def _verify_witnesses(g: Graph, mode: Mode, witnesses) -> None:
-    expected = Verdict.GEODESIC_LEECH if mode is Mode.LEECH else Verdict.ALMOST_GEODESIC_LEECH
+    expected = _TARGET[mode]
     for w in witnesses:
         report = classify(g, w)
         if report.verdict is not expected:
@@ -438,8 +431,7 @@ def _verify_witnesses(g: Graph, mode: Mode, witnesses) -> None:
 
 
 def _parallel_chunk(args):
-    g, cfg, derive_bounds, disabled, chunk = args
-    prep = _Prepared(g, cfg, derive_bounds, disabled)
+    prep, chunk = args
     return _search_single(prep, first_values=chunk)
 
 
@@ -469,7 +461,7 @@ def search(
     else:
         values = list(range(1, prep.max_label + 1))
         chunks = [values[i::workers] for i in range(workers) if values[i::workers]]
-        jobs = [(g, cfg, derive_bounds, tuple(disabled_rules), chunk) for chunk in chunks]
+        jobs = [(prep, chunk) for chunk in chunks]
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             results = list(pool.map(_parallel_chunk, jobs))
         witnesses = sorted(
@@ -538,12 +530,16 @@ def search_family_presets(name: str, *, workers: int = 1) -> SearchOutcome:
 
 @dataclass(frozen=True)
 class CorpusRow:
-    """Per-graph result of a corpus census run."""
+    """Per-graph result of a corpus census run.
+
+    An input that does not decode gives an error row with n, m and t_gp None;
+    a graph whose search raises gives one with t_gp 0.
+    """
 
     index: int
-    n: int
-    m: int
-    t_gp: int
+    n: int | None
+    m: int | None
+    t_gp: int | None
     verdict: str
     nodes: int
     millis: float
@@ -552,41 +548,48 @@ class CorpusRow:
 
 
 def _corpus_row(args) -> CorpusRow:
-    index, g, time_limit, node_limit = args
+    index, item, time_limit, node_limit = args
     start = time.monotonic()
+    g = None
     try:
-        base = SearchConfig(mode=Mode.LEECH, time_limit=time_limit, node_limit=node_limit)
-        leech_out = search(g, base)
-        nodes = leech_out.nodes_explored
-        if leech_out.status is Status.FOUND:
-            verdict, witness = "leech", leech_out.witnesses[0]
-        elif leech_out.status in (Status.TIMED_OUT, Status.NODE_LIMIT):
-            verdict, witness = "timeout", None
-        else:
-            almost_out = search(g, replace(base, mode=Mode.ALMOST))
-            nodes += almost_out.nodes_explored
-            if almost_out.status is Status.FOUND:
-                verdict, witness = "almost", almost_out.witnesses[0]
-            elif almost_out.status in (Status.TIMED_OUT, Status.NODE_LIMIT):
-                verdict, witness = "timeout", None
+        g = graph6_decode(item) if isinstance(item, str) else item
+        cfg = SearchConfig(time_limit=time_limit, node_limit=node_limit)
+        out = search(g, cfg)
+        t_gp, nodes = out.t_gp, out.nodes_explored
+        if out.status is Status.EXHAUSTED_NONE:
+            # the limits are per graph: the almost search gets what is left
+            time_left = None if time_limit is None else time_limit - (time.monotonic() - start)
+            if time_left is not None and time_left <= 0:
+                out = replace(out, status=Status.TIMED_OUT)
             else:
-                verdict, witness = "neither", None
+                nodes_left = None if node_limit is None else node_limit - nodes
+                out = search(
+                    g, replace(cfg, mode=Mode.ALMOST, time_limit=time_left, node_limit=nodes_left)
+                )
+                nodes += out.nodes_explored
+        if out.status is Status.FOUND:
+            verdict, witness = out.mode.value, out.witnesses[0]
+        elif out.status is Status.EXHAUSTED_NONE:
+            verdict, witness = "neither", None
+        else:
+            verdict, witness = "timeout", None
         return CorpusRow(
             index=index,
             n=g.vertex_count,
             m=g.edge_count,
-            t_gp=leech_out.t_gp,
+            t_gp=t_gp,
             verdict=verdict,
             nodes=nodes,
             millis=(time.monotonic() - start) * 1000.0,
             witness=witness,
         )
     except Exception as exc:  # per-row isolation: the batch must continue
+        decoded = g is not None
         return CorpusRow(
             index=index,
-            n=g.vertex_count,
-            m=g.edge_count,
-            t_gp=0,
+            n=g.vertex_count if decoded else None,
+            m=g.edge_count if decoded else None,
+            t_gp=0 if decoded else None,
             verdict="error",
             nodes=0,
             millis=(time.monotonic() - start) * 1000.0,
@@ -600,14 +603,18 @@ def census_corpus(
     time_limit: float | None = None,
     node_limit: int | None = None,
     workers: int = 1,
-) -> list[CorpusRow]:
+) -> Iterator[CorpusRow]:
     """Classify each graph as leech, almost, neither, timeout, or error.
 
-    Runs the Leech search first and the almost search only after exhaustion.
-    Output order always matches input order, regardless of worker count.
+    graphs holds Graphs or graph6 lines; a line that does not decode gives an
+    error row and the batch goes on. Runs the Leech search first and the
+    almost search only after exhaustion; time_limit and node_limit apply per
+    graph, across both searches. The input is read in full before work
+    starts, and rows stream out in input order, regardless of worker count.
     """
     jobs = [(i, g, time_limit, node_limit) for i, g in enumerate(graphs)]
     if workers <= 1:
-        return [_corpus_row(job) for job in jobs]
+        yield from map(_corpus_row, jobs)
+        return
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_corpus_row, jobs))
+        yield from pool.map(_corpus_row, jobs)

@@ -302,3 +302,20 @@ def test_missing_input_is_usage_error(capsys):
 def test_missing_file_is_data_error(capsys):
     code, _, err = run(capsys, "tgp", "/nonexistent/graph.el")
     assert code == EXIT_DATA
+
+
+def test_non_ascii_edge_list_is_data_error(capsys, tmp_path):
+    f = tmp_path / "g.el"
+    f.write_bytes(b"2 1\n0 1 # caf\xe9\n")
+    code, _, err = run(capsys, "tgp", str(f))
+    assert code == EXIT_DATA
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_non_ascii_census_file_is_data_error(capsys, tmp_path):
+    f = tmp_path / "corpus.g6"
+    f.write_bytes(b"A_\nC\xe9\n")
+    code, out, err = run(capsys, "census", str(f))
+    assert code == EXIT_DATA
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

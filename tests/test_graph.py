@@ -6,7 +6,7 @@ import random
 import pytest
 
 from leechlab.errors import DuplicateEdgeError, SelfLoopError, VertexOutOfRangeError
-from leechlab.families import complete_bipartite, cycle
+from leechlab.families import beineke_graphs, complete_bipartite, cycle, small_connected_catalog
 from leechlab.graph import (
     INFINITY,
     Graph,
@@ -130,6 +130,19 @@ class TestCensus:
             d = n // 2
             c = census(cycle(n))
             assert set(c.per_edge) == {d * (d + 1) // 2}, n
+
+    def test_diameter_is_largest_finite_bfs_distance(self):
+        graphs = small_connected_catalog(5) + [g for _, g in beineke_graphs()] + [
+            build_graph(5, [(0, 1), (2, 3), (3, 4)]),  # disconnected
+            build_graph(4, []),  # edgeless
+        ]
+        assert len(graphs) == 41
+        for g in graphs:
+            largest = max(
+                (d for u in range(g.vertex_count) for d in distances(g, u) if d != INFINITY),
+                default=0,
+            )
+            assert census(g).diameter == largest, g.edges
 
 
 def random_graph(rng, max_n=8):

@@ -11,7 +11,7 @@ from leechlab.errors import (
 )
 from leechlab.families import cycle
 from leechlab.graph import GeodesicPath, build_graph, census, enumerate_geodesics
-from leechlab.labeling import Labeling, Verdict, classify, path_weight
+from leechlab.labeling import Labeling, Verdict, classify, path_weight, verdict_of
 
 
 def triangle():
@@ -27,6 +27,31 @@ class TestLabeling:
             Labeling((1, 0, 2))
         with pytest.raises(NonPositiveLabelError):
             Labeling((-3,))
+        for labels in ((1.0, 2.0), (True, 2), (1, "2"), (1, None)):
+            with pytest.raises(NonPositiveLabelError):
+                Labeling(labels)
+            with pytest.raises(NonPositiveLabelError):
+                classify(build_graph(3, [(0, 1), (1, 2)]), labels)
+
+
+@pytest.mark.parametrize(
+    "weights, t, verdict",
+    [
+        ((1, 2, 3, 4, 5), 5, Verdict.GEODESIC_LEECH),
+        ((5, 3, 1, 4, 2), 5, Verdict.GEODESIC_LEECH),  # any order; so never almost
+        ((), 0, Verdict.GEODESIC_LEECH),
+        ((1, 2, 2, 4, 5), 5, Verdict.ALMOST_GEODESIC_LEECH),  # 3 missing, 2 doubled
+        ((1, 1, 2, 3, 4), 5, Verdict.ALMOST_GEODESIC_LEECH),  # 5 missing, 1 doubled
+        ((1, 2, 2, 2, 5), 5, Verdict.NEITHER),  # tripled value
+        ((1, 2, 2, 2, 3, 5), 6, Verdict.NEITHER),  # tripled value, one value missing
+        ((1, 2, 3, 4, 6), 5, Verdict.NEITHER),  # overshoot
+        ((1, 2, 3, 3, 6), 5, Verdict.NEITHER),  # doubled, but overshoot
+        ((1, 2, 2, 3, 3), 5, Verdict.NEITHER),  # two doubled values
+        ((1, 2, 3, 4), 5, Verdict.NEITHER),  # too few weights
+    ],
+)
+def test_verdict_of_table(weights, t, verdict):
+    assert verdict_of(weights, t) is verdict
 
 
 class TestPathWeight:

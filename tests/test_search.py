@@ -14,6 +14,7 @@ from leechlab.families import (
     wheel,
 )
 from leechlab.graph import build_graph, enumerate_geodesics
+from leechlab.graphio import graph6_decode
 from leechlab.labeling import Verdict, classify
 from leechlab.search import (
     ALL_RULES,
@@ -301,23 +302,50 @@ class TestPresets:
 
 class TestCensusCorpus:
     def test_degree_sequence_pair(self):
-        rows = census_corpus([complete_bipartite(3, 3), prism()])
+        rows = list(census_corpus([complete_bipartite(3, 3), prism()]))
         assert rows[0].verdict in ("almost", "neither")  # Leech is arithmetically impossible
         assert rows[1].verdict == "leech"
 
     def test_order_preserved_with_workers(self):
         graphs = [cycle(3), cycle(5), prism(), cycle(4), complete(4)]
-        seq = census_corpus(graphs)
-        par = census_corpus(graphs, workers=2)
+        seq = list(census_corpus(graphs))
+        par = list(census_corpus(graphs, workers=2))
         assert [r.verdict for r in seq] == [r.verdict for r in par]
         assert [r.index for r in par] == [0, 1, 2, 3, 4]
         assert [(r.n, r.m) for r in par] == [(g.vertex_count, g.edge_count) for g in graphs]
 
     def test_error_rows_do_not_abort(self):
-        rows = census_corpus([cycle(3), build_graph(4, []), cycle(4)])
+        rows = list(census_corpus([cycle(3), build_graph(4, []), cycle(4)]))
         assert [r.verdict for r in rows] == ["leech", "error", "leech"]
         assert rows[1].error
 
     def test_timeout_verdict(self):
-        rows = census_corpus([cycle(10)], node_limit=100)
+        rows = list(census_corpus([cycle(10)], node_limit=100))
         assert rows[0].verdict == "timeout"
+
+    def test_node_limit_is_per_graph(self):
+        # the Leech search exhausts at 14,237 nodes; alone, the almost search
+        # would find a witness at 1,218 more, which is over the graph's limit
+        rows = list(census_corpus([graph6_decode("D]o")], node_limit=15000))
+        assert rows[0].verdict == "timeout"
+        assert rows[0].nodes <= 15000
+        assert list(census_corpus(["D]o"]))[0].verdict == "almost"
+
+    def test_time_limit_is_per_graph(self, monkeypatch):
+        # every clock read advances a second, so the Leech search on C5
+        # (exhausted at once) uses up the 2 s limit before the almost search
+        # that would find a witness could start
+        import sys
+        from types import SimpleNamespace
+
+        ticks = iter(range(10**6))
+        clock = SimpleNamespace(monotonic=lambda: next(ticks))
+        monkeypatch.setattr(sys.modules["leechlab.search"], "time", clock)
+        rows = list(census_corpus([cycle(5)], time_limit=2))
+        assert rows[0].verdict == "timeout"
+
+    def test_graph6_lines_and_decode_errors(self):
+        rows = list(census_corpus(["Bw", "~~~bogus", "@"], workers=2))
+        assert [r.verdict for r in rows] == ["leech", "error", "error"]
+        assert (rows[1].n, rows[1].m, rows[1].t_gp) == (None, None, None)
+        assert (rows[2].n, rows[2].m, rows[2].t_gp) == (1, 0, 0)
