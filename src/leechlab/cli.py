@@ -382,7 +382,9 @@ def cmd_census(args) -> int:
         raise _CliError("census needs a graph6 file ('-' for stdin)", EXIT_USAGE)
     path = args.inputs[0]
     if path == "-":
-        text = sys.stdin.read()
+        # strict ASCII, as for a file; a text-only stdin is held to it too
+        stdin = getattr(sys.stdin, "buffer", None)
+        text = (stdin.read() if stdin is not None else sys.stdin.read().encode()).decode("ascii")
     else:
         with open(path, "r", encoding="ascii") as fh:
             text = fh.read()

@@ -235,6 +235,118 @@ def count_geodesics(g: Graph) -> int:
     return total
 
 
+def stabilizer_orbits(g: Graph, order) -> list[tuple[int, ...]]:
+    """Entry d: the orbit of edge order[d] under the automorphisms of g that
+    map every edge of order[:d] onto itself (either way round), ascending.
+
+    Automorphisms are adjacency-preserving vertex maps, found one at a time
+    by backtracking; the group itself is never listed. Each map found stays
+    in use for the later orbits it still fixes the edges of, and candidates
+    are first filtered by colour refinement, which also ends the work early:
+    once the fixed edges leave every vertex a colour of its own, only the
+    identity is left and every further orbit is a single edge.
+    """
+    nbrs = [frozenset(w for w, _ in a) for a in g._adj]
+    edges = g.edges
+    marks: list[tuple[int, ...]] = [()] * g.vertex_count
+    found: list[tuple[int, ...]] = []  # edge permutations of the maps found
+    orbits: list[tuple[int, ...]] = []
+    for d, e in enumerate(order):
+        if d:
+            prev = order[d - 1]
+            found = [p for p in found if p[prev] == prev]
+            for x in edges[prev]:
+                marks[x] += (d - 1,)
+        colors = _refine(nbrs, marks)
+        if len(set(colors)) == len(colors):
+            orbits.extend((x,) for x in order[d:])
+            break
+        orbit = _close({e}, found)
+        pair = sorted(colors[x] for x in edges[e])
+        for c, ends in enumerate(edges):
+            if c in orbit or sorted(colors[x] for x in ends) != pair:
+                continue
+            vmap = _automorphism(nbrs, colors, edges[e], ends)
+            if vmap is not None:
+                found.append(tuple(g.edge_id(vmap[a], vmap[b]) for a, b in edges))
+                orbit = _close(orbit, found)
+        orbits.append(tuple(sorted(orbit)))
+    return orbits
+
+
+def _refine(nbrs, colors) -> list[int]:
+    """Colour refinement to a stable partition; the colours are canonical,
+    so every automorphism that preserves the input colours preserves them."""
+    classes = len(set(colors))
+    while True:
+        sigs = [(colors[v], tuple(sorted(colors[w] for w in nb))) for v, nb in enumerate(nbrs)]
+        ids = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        colors = [ids[s] for s in sigs]
+        if len(ids) == classes:
+            return colors
+        classes = len(ids)
+
+
+def _close(orbit, perms) -> set[int]:
+    orbit = set(orbit)
+    stack = list(orbit)
+    while stack:
+        x = stack.pop()
+        for p in perms:
+            if p[x] not in orbit:
+                orbit.add(p[x])
+                stack.append(p[x])
+    return orbit
+
+
+def _automorphism(nbrs, colors, src, dst) -> list[int] | None:
+    """A colour-preserving automorphism taking edge src onto edge dst, as a
+    vertex map, or None. Vertices are placed breadth first from src, so one
+    with a placed neighbour can only go to a neighbour of that one's image."""
+    n = len(nbrs)
+    seq: list[tuple[int, int]] = [(v, -1) for v in src]  # (vertex, placed neighbour)
+    seen = set(src)
+    i = 0
+    while len(seq) < n:
+        if i == len(seq):  # a new component
+            root = next(v for v in range(n) if v not in seen)
+            seen.add(root)
+            seq.append((root, -1))
+        x = seq[i][0]
+        for w in sorted(nbrs[x] - seen):
+            seen.add(w)
+            seq.append((w, x))
+        i += 1
+    image = [-1] * n
+    used = [False] * n
+
+    def place(i: int) -> bool:
+        if i == n:
+            return True
+        x, parent = seq[i]
+        cands = nbrs[image[parent]] if parent >= 0 else range(n)
+        for y in cands:
+            if used[y] or colors[y] != colors[x]:
+                continue
+            if any((z in nbrs[x]) != (image[z] in nbrs[y]) for z, _ in seq[:i]):
+                continue
+            image[x], used[y] = y, True
+            if place(i + 1):
+                return True
+            image[x], used[y] = -1, False
+        return False
+
+    for a, b in (dst, dst[::-1]):
+        if (colors[a], colors[b]) != (colors[src[0]], colors[src[1]]):
+            continue
+        image[src[0]], image[src[1]] = a, b
+        used[a] = used[b] = True
+        if place(2):
+            return image
+        used[a] = used[b] = False
+    return None
+
+
 def census(g: Graph) -> GeodesicCensus:
     """Full geodesic census built from explicit enumeration."""
     return _census_of(g, enumerate_geodesics(g))

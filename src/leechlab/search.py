@@ -16,8 +16,13 @@ per-edge geodesic count, ties by edge id), and prunes with:
   complement_window   on even cycles with a forced label sum S, the two
                       halves between antipodal vertices weigh S together,
                       so a completed half may not weigh less than S - t
+  symmetry            a later edge b may not carry a smaller label than an
+                      edge a when an automorphism fixing every edge before a
+                      maps a onto b (lex-leader constraints; off under
+                      find_all, so that the witness list stays complete)
 
 Every rule only skips assignments that provably cannot reach a valid leaf,
+or, for symmetry, leaves that an automorphism maps onto one still searched,
 so an exhausted search is a certificate of non-existence within its bounds,
 and disabling rules changes cost but never the outcome. Every leaf is
 checked from scratch against the verdict definition, and every witness is
@@ -29,14 +34,14 @@ from __future__ import annotations
 import enum
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
+from bisect import bisect_left, insort
 from dataclasses import dataclass, replace
 from typing import Iterator
 
 from .errors import ConfigInvalidError, EmptyGraphError, UnknownPresetError
 from .families import beineke_graphs, complete, cycle, prism, wheel
-from .formulas import as_even_cycle, cycle_length, max_label_bound
-from .graph import Graph, _census_of, enumerate_geodesics
+from .formulas import as_even_cycle, max_label_bound
+from .graph import Graph, _census_of, enumerate_geodesics, stabilizer_orbits
 from .graphio import graph6_decode
 from .labeling import Labeling, Verdict, classify, verdict_of
 
@@ -47,6 +52,7 @@ ALL_RULES = (
     "weight_bound",
     "weight_duplicate",
     "complement_window",
+    "symmetry",
 )
 
 _TIME_CHECK_MASK = 0xFFF
@@ -76,13 +82,6 @@ class SearchConfig:
     almost mode. forced_label_sum defaults to T/k when every edge lies on the
     same number k of geodesics and k divides T (Leech mode only); it then
     restricts the plain label sum exactly.
-
-    cycle_symmetry (off by default, ignored unless the graph is a single
-    cycle) restricts the search to canonical representatives under rotation
-    and reflection: the first edge carries a minimum label and the two edges
-    flanking it are ordered. Statuses are unaffected because every labeling
-    has a representative in the restricted space, but with find_all the
-    witness list then enumerates orbit representatives, not all labelings.
     """
 
     mode: Mode = Mode.LEECH
@@ -91,7 +90,6 @@ class SearchConfig:
     time_limit: float | None = None
     find_all: bool = False
     node_limit: int | None = None
-    cycle_symmetry: bool = False
 
 
 @dataclass(frozen=True)
@@ -112,6 +110,13 @@ class _Stop(Exception):
         self.status = status
 
 
+def _validate_limits(time_limit, node_limit) -> None:
+    if time_limit is not None and time_limit <= 0:
+        raise ConfigInvalidError(f"time_limit must be positive, got {time_limit}")
+    if node_limit is not None and node_limit < 1:
+        raise ConfigInvalidError(f"node_limit must be >= 1, got {node_limit}")
+
+
 def _validate(g: Graph, cfg: SearchConfig) -> None:
     if g.edge_count == 0:
         raise EmptyGraphError("search needs a graph with at least one edge")
@@ -119,10 +124,7 @@ def _validate(g: Graph, cfg: SearchConfig) -> None:
         raise ConfigInvalidError(f"unknown mode {cfg.mode!r}")
     if cfg.max_label is not None and cfg.max_label < 1:
         raise ConfigInvalidError(f"max_label must be >= 1, got {cfg.max_label}")
-    if cfg.time_limit is not None and cfg.time_limit <= 0:
-        raise ConfigInvalidError(f"time_limit must be positive, got {cfg.time_limit}")
-    if cfg.node_limit is not None and cfg.node_limit < 1:
-        raise ConfigInvalidError(f"node_limit must be >= 1, got {cfg.node_limit}")
+    _validate_limits(cfg.time_limit, cfg.node_limit)
     m = g.edge_count
     if cfg.forced_label_sum is not None and cfg.forced_label_sum < m * (m + 1) // 2:
         raise ConfigInvalidError(
@@ -222,18 +224,16 @@ class _Prepared:
             grouped[d].append((others, floors.get(len(p.edge_ids), 1)))
         self.completed_at = [tuple(group) for group in grouped]
 
-        # canonical-representative restriction under the dihedral action:
-        # first edge carries a minimum label, flanking edges are ordered
-        self.symmetry = None
-        if cfg.cycle_symmetry and cycle_length(g) is not None:
-            e0 = self.order[0]
-            u, v = g.edges[e0]
-            flank_u = next(eid for _, eid in g.neighbors(u) if eid != e0)
-            flank_v = next(eid for _, eid in g.neighbors(v) if eid != e0)
-            lower, upper = sorted((flank_u, flank_v), key=lambda e: pos[e])
-            # by the time `upper` is assigned, `lower` already has its label;
-            # keep only label(lower) <= label(upper)
-            self.symmetry = (e0, pos[upper], lower)
+        # lex-leader constraints: label(order[d]) <= label(b) for each b in the
+        # orbit of order[d] under the automorphisms fixing order[:d]; such a b
+        # is never in order[:d], so it is assigned later and gets a floor
+        floors: list[list[int]] = [[] for _ in range(self.m)]
+        if "symmetry" in self.rules and not self.find_all:
+            for d, orbit in enumerate(stabilizer_orbits(g, self.order)):
+                for b in orbit:
+                    if b != self.order[d]:
+                        floors[pos[b]].append(self.order[d])
+        self.symmetry = [tuple(f) for f in floors]
 
 
 def _leaf_matches(prep: _Prepared, labels: list[int]) -> bool:
@@ -262,7 +262,6 @@ def _search_single(prep: _Prepared, first_values=None):
     used_label = bytearray(max_label + 2)
     used_weight = bytearray(max(t + 2, max_label + 2))
     stats = {rule: 0 for rule in ALL_RULES}
-    stats["cycle_symmetry"] = 0
     symmetry = prep.symmetry
     witnesses: list[Labeling] = []
     nodes = 0
@@ -273,6 +272,11 @@ def _search_single(prep: _Prepared, first_values=None):
     plain_lo, plain_hi = prep.plain_lo, prep.plain_hi
     suffix_gcd = prep.suffix_gcd
     ks_desc = prep.ks_desc_by_depth
+    # the common coefficient of each suffix, 0 where they differ
+    uniform_k = [ks[0] if ks and ks[0] == ks[-1] else 0 for ks in ks_desc]
+    # the unused labels in ascending order, kept up to date by descend
+    track_free = leech and check_sum
+    free = list(range(1, max_label + 1))
 
     def remaining_bounds(depth: int, wsum: int, psum: int) -> bool:
         """True if the suffix can still hit the sum windows."""
@@ -292,25 +296,19 @@ def _search_single(prep: _Prepared, first_values=None):
         if not check_sum:
             return True
         if leech:
-            asc = []
-            v = 1
-            while len(asc) < rem and v <= max_label:
-                if not used_label[v]:
-                    asc.append(v)
-                v += 1
-            if len(asc) < rem:
+            if len(free) < rem:
                 stats["sum_bound"] += 1
                 return False
-            desc = []
-            v = max_label
-            while len(desc) < rem and v >= 1:
-                if not used_label[v]:
-                    desc.append(v)
-                v -= 1
-            ks = ks_desc[depth]
-            wmin = wsum + sum(k * l for k, l in zip(ks, asc))
-            wmax = wsum + sum(k * l for k, l in zip(ks, desc))
-            pmin, pmax = psum + sum(asc), psum + sum(desc)
+            asc, desc = free[:rem], free[-rem:]
+            low, high = sum(asc), sum(desc)
+            k = uniform_k[depth]
+            if k:
+                wmin, wmax = wsum + k * low, wsum + k * high
+            else:
+                ks = ks_desc[depth]
+                wmin = wsum + sum(k * l for k, l in zip(ks, asc))
+                wmax = wsum + sum(k * l for k, l in zip(ks, reversed(desc)))
+            pmin, pmax = psum + low, psum + high
         else:
             ks = ks_desc[depth]
             wmin = wsum + sum(ks)
@@ -353,13 +351,10 @@ def _search_single(prep: _Prepared, first_values=None):
             stats["weight_bound"] += max_label - vhi
         if vlo > 1:
             stats["complement_window"] += vlo - 1
-        if symmetry is not None and depth:
-            sym_floor = labels[symmetry[0]]
-            if depth == symmetry[1] and labels[symmetry[2]] > sym_floor:
-                sym_floor = labels[symmetry[2]]
-            if sym_floor > vlo:
-                stats["cycle_symmetry"] += sym_floor - vlo
-                vlo = sym_floor
+        for e in symmetry[depth]:
+            if labels[e] > vlo:
+                stats["symmetry"] += labels[e] - vlo
+                vlo = labels[e]
         if first_values is not None and depth == 0:
             values = [v for v in first_values if vlo <= v <= vhi]
         else:
@@ -396,9 +391,13 @@ def _search_single(prep: _Prepared, first_values=None):
                 used_weight[w] += 1
                 marked += 1
             if ok:
+                if track_free and not used_label[v]:
+                    del free[bisect_left(free, v)]
                 used_label[v] += 1
                 descend(depth + 1, wsum + k_d * v, psum + v, new_dups)
                 used_label[v] -= 1
+                if track_free and not used_label[v]:
+                    insort(free, v)
             undone = 0
             for base in bases:
                 if undone == marked:
@@ -462,6 +461,8 @@ def search(
         values = list(range(1, prep.max_label + 1))
         chunks = [values[i::workers] for i in range(workers) if values[i::workers]]
         jobs = [(prep, chunk) for chunk in chunks]
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             results = list(pool.map(_parallel_chunk, jobs))
         witnesses = sorted(
@@ -611,10 +612,17 @@ def census_corpus(
     almost search only after exhaustion; time_limit and node_limit apply per
     graph, across both searches. The input is read in full before work
     starts, and rows stream out in input order, regardless of worker count.
+    Invalid limits raise ConfigInvalidError before any row runs.
     """
+    _validate_limits(time_limit, node_limit)
     jobs = [(i, g, time_limit, node_limit) for i, g in enumerate(graphs)]
     if workers <= 1:
-        yield from map(_corpus_row, jobs)
-        return
+        return map(_corpus_row, jobs)
+    return _pooled_rows(jobs, workers)
+
+
+def _pooled_rows(jobs, workers: int) -> Iterator[CorpusRow]:
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(_corpus_row, jobs)

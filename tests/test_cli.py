@@ -275,6 +275,25 @@ class TestCensus:
         assert [r["n"] for r in rows] == [3, 5, 4, 6]
         assert [r["verdict"] for r in rows] == ["leech", "almost", "leech", "almost"]
 
+    @pytest.mark.parametrize("flag,value", [("--time-limit", "0"), ("--node-limit", "-3")])
+    def test_bad_limit_is_usage_error(self, capsys, tmp_path, flag, value):
+        f = tmp_path / "two.g6"
+        f.write_text("A_\nBw\n")
+        code, out, err = run(capsys, "census", str(f), flag, value)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_non_ascii_stdin_is_data_error(self, capsys, monkeypatch):
+        import io
+        import sys
+
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"A_\nC\xc3\xa9\n"), encoding="utf-8"))
+        code, out, err = run(capsys, "census", "-")
+        assert code == EXIT_DATA
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestWorkersEnv:
     def test_env_default(self, monkeypatch):

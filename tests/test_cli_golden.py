@@ -14,7 +14,9 @@ import tempfile
 from importlib import resources
 from pathlib import Path
 
-from leechlab.cli import main
+from leechlab.cli import main, parse_family
+from leechlab.families import beineke_graphs
+from leechlab.labeling import classify
 
 GOLDEN = Path(__file__).with_name("cli_golden.jsonl")
 TIMING_FIELDS = ("millis", "elapsed_s")
@@ -63,6 +65,26 @@ def transcript() -> str:
 
 def test_cli_output_matches_golden():
     assert transcript() == GOLDEN.read_text()
+
+
+def test_golden_witnesses_classify_as_their_rows():
+    beineke = [g for _, g in beineke_graphs()]
+    checked = 0
+    for line in GOLDEN.read_text().splitlines():
+        row = json.loads(line)
+        if "argv" in row:
+            argv = row["argv"]
+            continue
+        if argv[0] == "search":
+            g = parse_family(argv[2])[0]
+            for labels in row["witnesses"]:
+                assert classify(g, labels).verdict.value == row["mode"]
+                checked += 1
+        elif "witness" in row:
+            assert argv[1] == "{beineke}"
+            assert classify(beineke[row["index"]], row["witness"]).verdict.value == row["verdict"]
+            checked += 1
+    assert checked == 19
 
 
 if __name__ == "__main__":

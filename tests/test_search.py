@@ -6,14 +6,16 @@ import pytest
 
 from leechlab.errors import ConfigInvalidError, EmptyGraphError, UnknownPresetError
 from leechlab.families import (
+    beineke_graphs,
     complete,
     complete_bipartite,
     cycle,
     path,
     prism,
+    small_connected_catalog,
     wheel,
 )
-from leechlab.graph import build_graph, enumerate_geodesics
+from leechlab.graph import build_graph, enumerate_geodesics, stabilizer_orbits
 from leechlab.graphio import graph6_decode
 from leechlab.labeling import Verdict, classify
 from leechlab.search import (
@@ -227,52 +229,73 @@ class TestDerivedBounds:
         assert out.max_label == 8
 
 
-def rotations_and_reflections(labels):
-    n = len(labels)
-    out = set()
-    for shift in range(n):
-        rotated = labels[shift:] + labels[:shift]
-        out.add(tuple(rotated))
-        out.add(tuple(reversed(rotated)))
-    return out
+def brute_force_orbits(g, order):
+    """stabilizer_orbits by listing every vertex permutation that preserves
+    adjacency."""
+    edges = set(g.edges)
+    group = []
+    for p in itertools.permutations(range(g.vertex_count)):
+        if all(tuple(sorted((p[a], p[b]))) in edges for a, b in g.edges):
+            group.append([g.edge_id(p[a], p[b]) for a, b in g.edges])
+    orbits = []
+    for d, e in enumerate(order):
+        stabilizer = [q for q in group if all(q[f] == f for f in order[:d])]
+        orbits.append(tuple(sorted({q[e] for q in stabilizer})))
+    return orbits
 
 
-class TestCycleSymmetry:
-    @pytest.mark.parametrize("n,expected", [
-        (4, Status.FOUND),
-        (5, Status.EXHAUSTED_NONE),
-        (6, Status.EXHAUSTED_NONE),
-        (7, Status.EXHAUSTED_NONE),
-    ])
-    def test_status_unchanged(self, n, expected):
-        out = search(cycle(n), SearchConfig(cycle_symmetry=True))
-        assert out.status is expected
+def catalog_graphs():
+    return small_connected_catalog(5) + [g for _, g in beineke_graphs()]
 
-    def test_c4_orbit_representatives_cover_all_solutions(self):
-        full = search(cycle(4), SearchConfig(find_all=True))
-        reduced = search(cycle(4), SearchConfig(find_all=True, cycle_symmetry=True))
-        assert 1 <= len(reduced.witnesses) < len(full.witnesses)
-        covered = set()
-        for w in reduced.witnesses:
-            covered |= rotations_and_reflections(list(w.labels))
-        assert {w.labels for w in full.witnesses} <= covered
 
-    def test_prunes_nodes(self):
-        base = search(cycle(4), SearchConfig(find_all=True), derive_bounds=False)
-        reduced = search(
-            cycle(4), SearchConfig(find_all=True, cycle_symmetry=True), derive_bounds=False
-        )
-        assert reduced.status is base.status is Status.FOUND
-        assert reduced.nodes_explored < base.nodes_explored
-        assert reduced.pruning_stats.get("cycle_symmetry", 0) > 0
+class TestSymmetry:
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_cycle_orbits(self, n):
+        sizes = [len(orbit) for orbit in stabilizer_orbits(cycle(n), range(n))]
+        assert sizes == [n, 2] + [1] * (n - 2)
 
-    def test_ignored_on_non_cycles(self):
-        assert search(prism(), SearchConfig(cycle_symmetry=True)).status is Status.FOUND
+    @pytest.mark.parametrize(
+        "make", [lambda: complete(4), lambda: complete_bipartite(3, 3), prism, lambda: wheel(5)]
+    )
+    def test_orbits_match_brute_force(self, make):
+        g = make()
+        order = list(range(g.edge_count))
+        assert stabilizer_orbits(g, order) == brute_force_orbits(g, order)
+        assert stabilizer_orbits(g, order[::-1]) == brute_force_orbits(g, order[::-1])
 
-    def test_almost_mode(self):
-        base = search(cycle(6), SearchConfig(mode=Mode.ALMOST))
-        reduced = search(cycle(6), SearchConfig(mode=Mode.ALMOST, cycle_symmetry=True))
-        assert base.status is reduced.status is Status.FOUND
+    def test_catalog_orbits_match_brute_force(self):
+        for g in catalog_graphs():
+            order = list(range(g.edge_count))
+            assert stabilizer_orbits(g, order) == brute_force_orbits(g, order), g.edges
+
+    def test_disconnected_orbits(self):
+        two_triangles = build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+        assert stabilizer_orbits(two_triangles, range(6)) == [
+            (0, 1, 2, 3, 4, 5), (1, 2), (2,), (3, 4, 5), (4, 5), (5,)
+        ]
+
+    @pytest.mark.parametrize("mode", [Mode.LEECH, Mode.ALMOST])
+    def test_statuses_match_symmetry_off(self, mode):
+        for g in catalog_graphs():
+            on = search(g, SearchConfig(mode=mode))
+            off = search(g, SearchConfig(mode=mode), disabled_rules=("symmetry",))
+            assert on.status is off.status, g.edges
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_prunes_nodes(self, n):
+        # sum_divisibility alone exhausts these cycles at the root
+        rules = ("sum_divisibility",)
+        on = search(cycle(n), derive_bounds=False, disabled_rules=rules)
+        off = search(cycle(n), derive_bounds=False, disabled_rules=rules + ("symmetry",))
+        assert on.status is off.status is Status.EXHAUSTED_NONE
+        assert on.nodes_explored < off.nodes_explored
+        assert on.pruning_stats["symmetry"] > 0
+        assert "symmetry" not in off.pruning_stats
+
+    def test_off_under_find_all(self):
+        out = search(cycle(4), SearchConfig(find_all=True))
+        assert "symmetry" not in out.pruning_stats
+        assert len(out.witnesses) == 8
 
 
 class TestPresets:
@@ -324,11 +347,16 @@ class TestCensusCorpus:
         assert rows[0].verdict == "timeout"
 
     def test_node_limit_is_per_graph(self):
-        # the Leech search exhausts at 14,237 nodes; alone, the almost search
-        # would find a witness at 1,218 more, which is over the graph's limit
-        rows = list(census_corpus([graph6_decode("D]o")], node_limit=15000))
+        # a limit the Leech search exhausts within, with too little left for
+        # the almost search to find its witness
+        g = graph6_decode("D]o")
+        leech = search(g)
+        almost = search(g, SearchConfig(mode=Mode.ALMOST))
+        assert leech.status is Status.EXHAUSTED_NONE and almost.status is Status.FOUND
+        limit = leech.nodes_explored + almost.nodes_explored // 2
+        rows = list(census_corpus([g], node_limit=limit))
         assert rows[0].verdict == "timeout"
-        assert rows[0].nodes <= 15000
+        assert rows[0].nodes <= limit
         assert list(census_corpus(["D]o"]))[0].verdict == "almost"
 
     def test_time_limit_is_per_graph(self, monkeypatch):
@@ -343,6 +371,11 @@ class TestCensusCorpus:
         monkeypatch.setattr(sys.modules["leechlab.search"], "time", clock)
         rows = list(census_corpus([cycle(5)], time_limit=2))
         assert rows[0].verdict == "timeout"
+
+    def test_bad_limits_rejected_before_any_row(self):
+        for limits in ({"time_limit": 0}, {"node_limit": -3}):
+            with pytest.raises(ConfigInvalidError):
+                census_corpus([cycle(3)], **limits)
 
     def test_graph6_lines_and_decode_errors(self):
         rows = list(census_corpus(["Bw", "~~~bogus", "@"], workers=2))
