@@ -3,14 +3,13 @@
 A geodesic is a path whose length equals the distance between its endpoints;
 single edges are geodesics of length 1, single vertices are not geodesics.
 Enumeration is the ground truth every closed-form count in this package is
-checked against, so it is deliberately simple: per-source BFS followed by a
-walk of the shortest-path predecessor DAG.
+checked against, so it is deliberately simple: per-source BFS followed by one
+depth-first walk forward down the BFS layers of that source.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import (
@@ -152,30 +151,22 @@ def build_graph(vertex_count: int, edge_list) -> Graph:
 def distances(g: Graph, source: int) -> list:
     """Unweighted shortest-path distances from source; INFINITY if unreachable."""
     g._check_vertex(source)
-    dist = [INFINITY] * g.vertex_count
+    return _bfs(g._adj, source)[0]
+
+
+def _bfs(adj, source: int) -> tuple[list, list[int]]:
+    """Distances from source (INFINITY if unreachable) and the reached
+    vertices in the order BFS reached them, which is by distance."""
+    dist = [INFINITY] * len(adj)
     dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        for w, _ in g.neighbors(u):
+    order = [source]
+    for x in order:  # the list grows as it is read: it is the BFS queue
+        dw = dist[x] + 1
+        for w, _ in adj[x]:
             if dist[w] == INFINITY:
-                dist[w] = du + 1
-                queue.append(w)
-    return dist
-
-
-def _predecessors(g: Graph, dist: list) -> list[list[tuple[int, int]]]:
-    """pred[v] = (neighbor, edge id) pairs one BFS level closer to the source."""
-    pred: list[list[tuple[int, int]]] = [[] for _ in range(g.vertex_count)]
-    for v in range(g.vertex_count):
-        dv = dist[v]
-        if dv == INFINITY or dv == 0:
-            continue
-        for w, eid in g.neighbors(v):
-            if dist[w] == dv - 1:
-                pred[v].append((w, eid))
-    return pred
+                dist[w] = dw
+                order.append(w)
+    return dist, order
 
 
 def enumerate_geodesics(g: Graph) -> list[GeodesicPath]:
@@ -183,55 +174,51 @@ def enumerate_geodesics(g: Graph) -> list[GeodesicPath]:
 
     Paths start at the smaller endpoint; output is sorted by
     (min endpoint, max endpoint, edge-id sequence) and is deterministic.
+
+    Every path from u that steps one BFS layer of u further at each edge is
+    a geodesic, so one depth-first walk forward from each source u builds
+    every geodesic that starts there, each from its parent's tuple. Taking
+    the edges out of each vertex by ascending id makes the walk meet the
+    paths in lexicographic order of their edge ids; bucketing them by
+    endpoint then gives the sorted order without a sort.
     """
+    n = g.vertex_count
+    # (neighbor, edge id) pairs by descending edge id: popped ascending
+    down = [sorted(a, key=lambda p: p[1], reverse=True) for a in g._adj]
     out: list[GeodesicPath] = []
-    for u in range(g.vertex_count):
-        dist = distances(g, u)
-        pred = _predecessors(g, dist)
-        for v in range(u + 1, g.vertex_count):
-            if dist[v] == INFINITY or dist[v] < 1:
-                continue
-            for edge_seq in _paths_back(pred, v, u):
-                out.append(GeodesicPath((u, v), tuple(reversed(edge_seq))))
-    out.sort(key=lambda p: (p.endpoints, p.edge_ids))
+    for u in range(n):
+        dist = _bfs(g._adj, u)[0]
+        buckets: list[list[GeodesicPath]] = [[] for _ in range(n)]
+        stack = [(u, ())]
+        while stack:
+            x, path = stack.pop()
+            if x > u:
+                buckets[x].append(GeodesicPath((u, x), path))
+            dw = dist[x] + 1
+            for w, eid in down[x]:
+                if dist[w] == dw:
+                    stack.append((w, path + (eid,)))
+        for bucket in buckets[u + 1:]:
+            out.extend(bucket)
     return out
 
 
-def _paths_back(pred, v: int, source: int):
-    """Edge-id sequences walking the predecessor DAG from v down to source."""
-    if v == source:
-        yield []
-        return
-    for w, eid in pred[v]:
-        for tail in _paths_back(pred, w, source):
-            yield [eid] + tail
-
-
 def count_geodesics(g: Graph) -> int:
-    """Geodesic path number via predecessor-DAG path products, no materialization.
+    """Geodesic path number from per-source shortest-path counts.
 
-    Must agree with len(enumerate_geodesics(g)); kept separate as a fast
-    cross-check for counting-only callers.
+    A vertex at distance d from u is reached by as many geodesics as its
+    neighbors at distance d - 1 together. No path is built, so this stays
+    an independent cross-check of len(enumerate_geodesics(g)).
     """
     total = 0
     for u in range(g.vertex_count):
-        dist = distances(g, u)
+        dist, order = _bfs(g._adj, u)
         ways = [0] * g.vertex_count
         ways[u] = 1
-        order = sorted(
-            (v for v in range(g.vertex_count) if dist[v] != INFINITY),
-            key=lambda v: dist[v],
-        )
-        for v in order:
-            if v == u:
-                continue
-            dv = dist[v]
-            ways[v] = sum(ways[w] for w, _ in g.neighbors(v) if dist[w] == dv - 1)
-        total += sum(
-            ways[v]
-            for v in range(u + 1, g.vertex_count)
-            if dist[v] != INFINITY and dist[v] >= 1
-        )
+        for v in order[1:]:
+            up = dist[v] - 1
+            ways[v] = sum(ways[w] for w, _ in g._adj[v] if dist[w] == up)
+        total += sum(ways[v] for v in order if v > u)
     return total
 
 

@@ -110,21 +110,24 @@ class _Stop(Exception):
         self.status = status
 
 
-def _validate_limits(time_limit, node_limit) -> None:
-    if time_limit is not None and time_limit <= 0:
+def _validate_limits(time_limit, node_limit, workers: int) -> None:
+    # not "<= 0": that is false for NaN, which would run with no limit at all
+    if time_limit is not None and not time_limit > 0:
         raise ConfigInvalidError(f"time_limit must be positive, got {time_limit}")
     if node_limit is not None and node_limit < 1:
         raise ConfigInvalidError(f"node_limit must be >= 1, got {node_limit}")
+    if workers < 1:
+        raise ConfigInvalidError(f"workers must be >= 1, got {workers}")
 
 
-def _validate(g: Graph, cfg: SearchConfig) -> None:
+def _validate(g: Graph, cfg: SearchConfig, workers: int) -> None:
     if g.edge_count == 0:
         raise EmptyGraphError("search needs a graph with at least one edge")
     if not isinstance(cfg.mode, Mode):
         raise ConfigInvalidError(f"unknown mode {cfg.mode!r}")
     if cfg.max_label is not None and cfg.max_label < 1:
         raise ConfigInvalidError(f"max_label must be >= 1, got {cfg.max_label}")
-    _validate_limits(cfg.time_limit, cfg.node_limit)
+    _validate_limits(cfg.time_limit, cfg.node_limit, workers)
     m = g.edge_count
     if cfg.forced_label_sum is not None and cfg.forced_label_sum < m * (m + 1) // 2:
         raise ConfigInvalidError(
@@ -446,16 +449,17 @@ def search(
 
     workers > 1 splits the first edge's candidate labels across processes;
     node counts then aggregate over workers, but the status is identical to
-    a single-worker run. derive_bounds=False skips deriving max_label and
-    forced_label_sum from the counting arguments (both stay available as
-    explicit config fields). disabled_rules names pruning rules to switch
-    off, which affects cost only.
+    a single-worker run; workers < 1 raises ConfigInvalidError.
+    derive_bounds=False skips deriving max_label and forced_label_sum from
+    the counting arguments (both stay available as explicit config fields).
+    disabled_rules names pruning rules to switch off, which affects cost
+    only.
     """
     cfg = cfg or SearchConfig()
-    _validate(g, cfg)
+    _validate(g, cfg, workers)
     start = time.monotonic()
     prep = _Prepared(g, cfg, derive_bounds, disabled_rules)
-    if workers <= 1:
+    if workers == 1:
         status, witnesses, nodes, stats = _search_single(prep)
     else:
         values = list(range(1, prep.max_label + 1))
@@ -471,8 +475,7 @@ def search(
         if not cfg.find_all and witnesses:
             witnesses = witnesses[:1]
         nodes = sum(n for _, _, n, _ in results)
-        keys = {key for r in results for key in r[3]}
-        stats = {key: sum(r[3].get(key, 0) for r in results) for key in keys}
+        stats = {rule: sum(r[3][rule] for r in results) for rule in ALL_RULES}
         statuses = {r[0] for r in results}
         if witnesses:
             status = Status.FOUND
@@ -612,11 +615,12 @@ def census_corpus(
     almost search only after exhaustion; time_limit and node_limit apply per
     graph, across both searches. The input is read in full before work
     starts, and rows stream out in input order, regardless of worker count.
-    Invalid limits raise ConfigInvalidError before any row runs.
+    Invalid limits and worker counts below 1 raise ConfigInvalidError
+    before any row runs.
     """
-    _validate_limits(time_limit, node_limit)
+    _validate_limits(time_limit, node_limit, workers)
     jobs = [(i, g, time_limit, node_limit) for i, g in enumerate(graphs)]
-    if workers <= 1:
+    if workers == 1:
         return map(_corpus_row, jobs)
     return _pooled_rows(jobs, workers)
 

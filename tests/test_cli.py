@@ -193,6 +193,45 @@ class TestSearch:
         code, out, _ = run(capsys, "search", "--family", "cycle:4", "--workers", "2", "--json")
         assert json.loads(out)["status"] == "found"
 
+    @pytest.mark.parametrize(
+        "flag,value", [("--time-limit", "nan"), ("--workers", "0"), ("--workers", "-2")]
+    )
+    def test_nan_limit_and_workers_below_one_are_usage_errors(self, capsys, flag, value):
+        code, out, err = run(capsys, "search", "--family", "cycle:5", flag, value)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_pruning_key_order_is_the_same_at_two_workers(self):
+        # the merged stats must not take their order from the string hash
+        # seed of the process; on W5 the same six rules fire at one worker
+        # and at two, so the whole key lists compare
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import leechlab
+
+        def pruning_keys(workers, seed):
+            env = {
+                **os.environ,
+                "PYTHONHASHSEED": str(seed),
+                "PYTHONPATH": str(Path(leechlab.__file__).parents[1]),
+            }
+            argv = ["search", "--family", "wheel:5", "--workers", str(workers), "--json"]
+            proc = subprocess.run(
+                [sys.executable, "-m", "leechlab.cli", *argv],
+                env=env, capture_output=True, text=True, check=False,
+            )
+            assert proc.returncode == EXIT_LEECH, proc.stderr
+            return list(json.loads(proc.stdout)["pruning"])
+
+        single = pruning_keys(1, 1)
+        assert len(single) > 1
+        assert pruning_keys(2, 1) == single
+        assert pruning_keys(2, 2) == single
+
     def test_file_source(self, capsys, tmp_path):
         f = tmp_path / "triangle.el"
         f.write_text("3 3\n0 1\n1 2\n2 0\n")
@@ -275,7 +314,16 @@ class TestCensus:
         assert [r["n"] for r in rows] == [3, 5, 4, 6]
         assert [r["verdict"] for r in rows] == ["leech", "almost", "leech", "almost"]
 
-    @pytest.mark.parametrize("flag,value", [("--time-limit", "0"), ("--node-limit", "-3")])
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--time-limit", "0"),
+            ("--node-limit", "-3"),
+            ("--time-limit", "nan"),
+            ("--workers", "0"),
+            ("--workers", "-2"),
+        ],
+    )
     def test_bad_limit_is_usage_error(self, capsys, tmp_path, flag, value):
         f = tmp_path / "two.g6"
         f.write_text("A_\nBw\n")

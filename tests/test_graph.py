@@ -194,6 +194,27 @@ class TestRandomGraphOracle:
             assert count_geodesics(g) == len(enumerate_geodesics(g))
 
 
+def test_enumeration_matches_networkx_on_the_graph_atlas():
+    """Every graph of at most 7 vertices: the geodesics are exactly
+    networkx's shortest paths between connected pairs, once each, sorted."""
+    nx = pytest.importorskip("networkx")
+    atlas = nx.graph_atlas_g()
+    assert len(atlas) == 1253
+    for h in atlas:
+        g = build_graph(h.number_of_nodes(), list(h.edges()))
+        paths = enumerate_geodesics(g)
+        got = [(p.endpoints, p.edge_ids) for p in paths]
+        assert got == sorted(got), g.edges
+        assert len(set(got)) == len(got), g.edges
+        expected = set()
+        for u in h:
+            for v in nx.single_source_shortest_path_length(h, u):
+                if v > u:
+                    for walk in nx.all_shortest_paths(h, u, v):
+                        expected.add(((u, v), tuple(map(g.edge_id, walk, walk[1:]))))
+        assert set(got) == expected, g.edges
+
+
 def test_graph_is_picklable():
     import pickle
 

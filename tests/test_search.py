@@ -198,8 +198,16 @@ class TestConfigValidation:
             search(cycle(3), SearchConfig(max_label=0))
 
     def test_bad_time_limit(self):
-        with pytest.raises(ConfigInvalidError):
-            search(cycle(3), SearchConfig(time_limit=-2.0))
+        # NaN as well: every comparison with it is false, so "<= 0" lets it
+        # through as no limit at all
+        for limit in (-2.0, float("nan")):
+            with pytest.raises(ConfigInvalidError, match="time_limit"):
+                search(cycle(3), SearchConfig(time_limit=limit))
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one(self, workers):
+        with pytest.raises(ConfigInvalidError, match="workers"):
+            search(cycle(3), workers=workers)
 
     def test_forced_sum_below_floor(self):
         with pytest.raises(ConfigInvalidError):
@@ -373,7 +381,13 @@ class TestCensusCorpus:
         assert rows[0].verdict == "timeout"
 
     def test_bad_limits_rejected_before_any_row(self):
-        for limits in ({"time_limit": 0}, {"node_limit": -3}):
+        for limits in (
+            {"time_limit": 0},
+            {"time_limit": float("nan")},
+            {"node_limit": -3},
+            {"workers": 0},
+            {"workers": -2},
+        ):
             with pytest.raises(ConfigInvalidError):
                 census_corpus([cycle(3)], **limits)
 
