@@ -26,7 +26,8 @@ can assert results directly:
 
 Graph sources are files (edge-list text, or .g6 for graph6) or --family
 specs: cycle:N, path:N, complete:N, knn:N, kmn:MxN, wheel:N, prism.
-LEECHLAB_WORKERS sets the default worker count; flags override it.
+LEECHLAB_WORKERS sets the default worker count; flags override it. A worker
+count that is not an integer >= 1, from either, exits 64 from search and census.
 """
 
 from __future__ import annotations
@@ -416,12 +417,31 @@ def cmd_census(args) -> int:
     return 0
 
 
-def _default_workers() -> int:
-    raw = os.environ.get("LEECHLAB_WORKERS", "1")
+def _worker_count(text: str) -> int:
+    """A --workers value, or the LEECHLAB_WORKERS default that stands in for it.
+
+    Raises _CliError rather than ValueError: argparse turns the latter into
+    its own exit 2, and a bad worker count is a usage error (exit 64) here.
+    """
     try:
-        return max(1, int(raw))
+        workers = int(text)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise _CliError(
+            f"--workers and LEECHLAB_WORKERS take an integer >= 1, got {text!r}", EXIT_USAGE
+        )
+    return workers
+
+
+def _add_workers(p) -> None:
+    # argparse converts a string default only for the command that runs and
+    # after --help has had its turn, so a bad LEECHLAB_WORKERS fails search
+    # and census alone
+    p.add_argument(
+        "--workers", type=_worker_count, default=os.environ.get("LEECHLAB_WORKERS") or "1",
+        help="parallel workers (default from LEECHLAB_WORKERS, else 1)",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -452,9 +472,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-label", type=int, default=None, help="largest label to try (default: proven bound)")
     p.add_argument("--sum", type=int, default=None, help="force the label sum (default: derived when valid)")
     p.add_argument("--time-limit", type=float, default=None, help="wall-clock limit in seconds")
-    p.add_argument("--node-limit", type=int, default=None, help="stop after this many assignments")
+    p.add_argument("--node-limit", type=int, default=None, help="stop at this many nodes (candidate labels tried)")
     p.add_argument("--all", action="store_true", help="collect every witness instead of stopping at the first")
-    p.add_argument("--workers", type=int, default=_default_workers(), help="parallel workers (default from LEECHLAB_WORKERS)")
+    _add_workers(p)
     p.add_argument("--seedless", action="store_true", help="do not derive bounds from counting arguments; search labels up to t_gp")
     p.set_defaults(fn=cmd_search)
 
@@ -465,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("census", help="read a graph6 corpus in full, then stream one JSON row per graph in input order")
     add_common(p, with_json=False)
-    p.add_argument("--workers", type=int, default=_default_workers(), help="parallel workers (default from LEECHLAB_WORKERS)")
+    _add_workers(p)
     p.add_argument("--time-limit", type=float, default=None, help="per-graph wall-clock limit in seconds, across both searches")
     p.add_argument("--node-limit", type=int, default=None, help="per-graph node limit, across both searches")
     p.set_defaults(fn=cmd_census)
@@ -475,8 +495,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.fn(args)
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

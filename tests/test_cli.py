@@ -360,6 +360,31 @@ class TestWorkersEnv:
         )
         assert args.workers == 1
 
+    @pytest.mark.parametrize("command", ["search", "census"])
+    @pytest.mark.parametrize("value", ["abc", "0", "-2"])
+    def test_malformed_env_is_usage_error(self, capsys, monkeypatch, tmp_path, command, value):
+        monkeypatch.setenv("LEECHLAB_WORKERS", value)
+        f = tmp_path / "two.g6"
+        f.write_text("A_\nBw\n")
+        source = ["--family", "cycle:4"] if command == "search" else [str(f)]
+        code, out, err = run(capsys, command, *source)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "LEECHLAB_WORKERS" in err
+
+    def test_malformed_env_leaves_help_and_other_commands(self, capsys, monkeypatch):
+        monkeypatch.setenv("LEECHLAB_WORKERS", "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--help"])
+        assert exc.value.code == 0
+        assert "--workers" in capsys.readouterr().out
+        code, out, _ = run(capsys, "tgp", "--family", "cycle:4", "--json")
+        assert code == 0 and json.loads(out)["t_gp"] == 8
+        # a valid flag still overrides a malformed default
+        code, out, _ = run(capsys, "search", "--family", "cycle:4", "--workers", "1", "--json")
+        assert code == 0 and json.loads(out)["status"] == "found"
+
 
 def test_missing_input_is_usage_error(capsys):
     code, _, err = run(capsys, "tgp")

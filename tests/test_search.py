@@ -1,6 +1,7 @@
 """Backtracking search: statuses, oracle equivalence, pruning neutrality."""
 
 import itertools
+from dataclasses import replace
 
 import pytest
 
@@ -185,7 +186,27 @@ class TestLimits:
             SearchConfig(max_label=31, forced_label_sum=85, node_limit=5000),
         )
         assert out.status is Status.NODE_LIMIT
-        assert out.nodes_explored <= 5000
+        assert out.nodes_explored == 5000
+
+    @pytest.mark.parametrize(
+        "g,cfg,disabled",
+        [
+            (cycle(5), SearchConfig(), ("sum_divisibility",)),
+            (cycle(6), SearchConfig(), ("sum_divisibility",)),
+            (cycle(10), SearchConfig(max_label=13), ()),
+        ],
+        ids=["C5", "C6", "C10-13"],
+    )
+    def test_node_limit_at_and_past_an_exhausted_tree(self, g, cfg, disabled):
+        # the limit stops the search at its N-th node, even the last one
+        full = search(g, cfg, disabled_rules=disabled)
+        n = full.nodes_explored
+        assert full.status is Status.EXHAUSTED_NONE and n > 100
+        at = search(g, replace(cfg, node_limit=n), disabled_rules=disabled)
+        assert (at.status, at.nodes_explored) == (Status.NODE_LIMIT, n)
+        past = search(g, replace(cfg, node_limit=n + 1), disabled_rules=disabled)
+        assert (past.status, past.nodes_explored) == (Status.EXHAUSTED_NONE, n)
+        assert past.pruning_stats == full.pruning_stats
 
 
 class TestConfigValidation:
