@@ -25,7 +25,8 @@ can assert results directly:
   70  closed-form cross-check mismatch
 
 Graph sources are files (edge-list text, or .g6 for graph6) or --family
-specs: cycle:N, path:N, complete:N, knn:N, kmn:MxN, wheel:N, prism.
+specs from families.FAMILIES: cycle:N, path:N, complete:N, knn:N, kmn:MxN,
+wheel:N, prism (names in any case, parameters in ASCII digits).
 LEECHLAB_WORKERS sets the default worker count; flags override it. A worker
 count that is not an integer >= 1, from either, exits 64 from search and census.
 """
@@ -38,7 +39,7 @@ import os
 import sys
 from collections import Counter
 
-from . import families, formulas
+from . import formulas
 from .errors import (
     ConfigInvalidError,
     EmptyGraphError,
@@ -47,6 +48,7 @@ from .errors import (
     TooSmallError,
     UnknownPresetError,
 )
+from .families import FAMILIES, Family, parse_family
 from .graph import Graph, census
 from .graphio import format_labeling, load_graph, load_labeling
 from .labeling import Verdict, classify
@@ -92,58 +94,14 @@ class _CliError(Exception):
         self.code = code
 
 
-def parse_family(spec: str) -> tuple[Graph, tuple]:
-    """Build a graph from a family spec; returns (graph, (name, *params))."""
-    name, _, param = spec.partition(":")
-    name = name.lower()
-    try:
-        if name == "prism":
-            if param:
-                raise _CliError(f"family prism takes no parameter, got {spec!r}", EXIT_USAGE)
-            return families.prism(), ("prism",)
-        if name == "kmn":
-            m_str, _, n_str = param.partition("x")
-            m, n = int(m_str), int(n_str)
-            return families.complete_bipartite(m, n), ("kmn", m, n)
-        n = int(param)
-        if name == "cycle":
-            return families.cycle(n), ("cycle", n)
-        if name == "path":
-            return families.path(n), ("path", n)
-        if name == "complete":
-            return families.complete(n), ("complete", n)
-        if name == "knn":
-            return families.complete_bipartite(n, n), ("knn", n)
-        if name == "wheel":
-            return families.wheel(n), ("wheel", n)
-    except ValueError:
-        raise _CliError(f"malformed family parameter in {spec!r}", EXIT_USAGE) from None
-    raise _CliError(f"unknown family {name!r} in {spec!r}", EXIT_USAGE)
-
-
-def _resolve_graph(args, inputs: list[str]) -> tuple[Graph, tuple | None]:
+def _resolve_graph(args, inputs: list[str]) -> tuple[Graph, Family | None, tuple]:
     if args.family:
         if inputs:
             raise _CliError("give either --family or a graph file, not both", EXIT_USAGE)
         return parse_family(args.family)
     if not inputs:
         raise _CliError("a graph file or --family spec is required", EXIT_USAGE)
-    return load_graph(inputs[0]), None
-
-
-def _closed_form(info: tuple) -> int | None:
-    name = info[0]
-    if name == "cycle":
-        return formulas.tgp_cycle(info[1])
-    if name == "knn":
-        return formulas.tgp_knn(info[1])
-    if name == "kmn" and info[1] == info[2]:
-        return formulas.tgp_knn(info[1])
-    if name == "wheel":
-        return formulas.tgp_wheel(info[1])
-    if name == "complete":
-        return formulas.tgp_complete(info[1])
-    return None
+    return load_graph(inputs[0]), None, ()
 
 
 def _emit(payload: dict, as_json: bool, text_lines: list[str]) -> None:
@@ -155,7 +113,7 @@ def _emit(payload: dict, as_json: bool, text_lines: list[str]) -> None:
 
 
 def cmd_tgp(args) -> int:
-    g, info = _resolve_graph(args, args.inputs)
+    g, family, params = _resolve_graph(args, args.inputs)
     c = census(g)
     lines = [
         f"vertices: {g.vertex_count}",
@@ -175,11 +133,11 @@ def cmd_tgp(args) -> int:
         "per_edge": list(c.per_edge),
     }
     if args.closed_form:
-        if info is None:
+        if family is None:
             raise _CliError("--closed-form needs a --family source", EXIT_USAGE)
-        expected = _closed_form(info)
+        expected = family.tgp(*params) if family.tgp else None
         if expected is None:
-            raise _CliError(f"no closed form for family {info[0]}", EXIT_USAGE)
+            raise _CliError(f"no closed form for family {family.name}", EXIT_USAGE)
         payload["closed_form"] = expected
         lines.append(f"closed form: {expected}")
         if expected != c.total:
@@ -205,17 +163,10 @@ def _report_payload(report) -> dict:
 
 
 def cmd_verify(args) -> int:
-    if args.family:
-        if len(args.inputs) != 1:
-            raise _CliError("usage: verify --family SPEC LABELING_FILE", EXIT_USAGE)
-        g, _ = parse_family(args.family)
-        labeling_path = args.inputs[0]
-    else:
-        if len(args.inputs) != 2:
-            raise _CliError("usage: verify GRAPH_FILE LABELING_FILE", EXIT_USAGE)
-        g = load_graph(args.inputs[0])
-        labeling_path = args.inputs[1]
-    lab = load_labeling(labeling_path)
+    if len(args.inputs) != (1 if args.family else 2):
+        raise _CliError("usage: verify {GRAPH_FILE | --family SPEC} LABELING_FILE", EXIT_USAGE)
+    g = _resolve_graph(args, args.inputs[:-1])[0]
+    lab = load_labeling(args.inputs[-1])
     report = classify(g, lab)
     lines = [
         f"verdict: {report.verdict.value}",
@@ -232,7 +183,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_search(args) -> int:
-    g, info = _resolve_graph(args, args.inputs)
+    g = _resolve_graph(args, args.inputs)[0]
     cfg = SearchConfig(
         mode=Mode.ALMOST if args.almost else Mode.LEECH,
         max_label=args.max_label,
@@ -301,17 +252,17 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 def cmd_feasible(args) -> int:
     if args.range:
-        if not args.family:
-            raise _CliError("--range needs --family cycle or knn", EXIT_USAGE)
-        name = args.family.partition(":")[0].lower()
-        if name not in ("cycle", "knn"):
-            raise _CliError(f"--range supports cycle and knn, not {name!r}", EXIT_USAGE)
+        # only the name counts: the parameter of cycle:n is a placeholder
+        name = (args.family or "").partition(":")[0].lower()
+        family = FAMILIES.get(name)
+        if family is None or family.feasibility is None:
+            tested = " or ".join(f.name for f in FAMILIES.values() if f.feasibility)
+            raise _CliError(f"--range needs --family {tested}, not {name!r}", EXIT_USAGE)
         lo, hi = _parse_range(args.range)
-        fn = formulas.cycle_feasibility if name == "cycle" else formulas.knn_feasibility
         feasible_ns = []
         rows = []
         for n in range(lo, hi + 1):
-            res = fn(n)
+            res = family.feasibility(n)
             rows.append({"n": n, **_feasibility_payload(res)})
             if res.feasible:
                 feasible_ns.append(n)
@@ -330,52 +281,34 @@ def cmd_feasible(args) -> int:
             print(f"feasible at: {' '.join(map(str, feasible_ns)) if feasible_ns else 'none'}")
         return 0
 
-    if args.family:
-        name, _, param = args.family.partition(":")
-        name = name.lower()
-        if name in ("cycle", "knn"):
-            try:
-                n = int(param)
-            except ValueError:
-                raise _CliError(
-                    f"family {name} needs an integer parameter, got {args.family!r}",
-                    EXIT_USAGE,
-                ) from None
-            res = (formulas.cycle_feasibility if name == "cycle" else formulas.knn_feasibility)(n)
-            _emit(
-                {"command": "feasible", "family": args.family, **_feasibility_payload(res)},
-                args.json,
-                [f"{'feasible' if res.feasible else 'infeasible'}: {res.reason}"],
-            )
-            return EXIT_LEECH if res.feasible else EXIT_NEITHER
-        g, _ = parse_family(args.family)
+    g, family, params = _resolve_graph(args, args.inputs)
+    if family is not None and family.feasibility is not None:
+        res = family.feasibility(*params)
+        payload, lines = {"command": "feasible", "family": args.family}, []
     else:
-        if not args.inputs:
-            raise _CliError("a graph file or --family spec is required", EXIT_USAGE)
-        g = load_graph(args.inputs[0])
-    c = census(g)
-    coeffs, total = formulas.general_weighted_sum_identity(c)
-    payload = {
-        "command": "feasible",
-        "t_gp": c.total,
-        "required_total": total,
-        "per_edge": list(coeffs),
-    }
-    lines = [
-        f"t_gp: {c.total}",
-        f"weighted-sum identity: sum k_e*a_e = {total}",
-        "per edge: " + " ".join(map(str, coeffs)),
-    ]
-    if len(set(coeffs)) == 1:
+        c = census(g)
+        coeffs, total = formulas.general_weighted_sum_identity(c)
+        payload = {
+            "command": "feasible",
+            "t_gp": c.total,
+            "required_total": total,
+            "per_edge": list(coeffs),
+        }
+        lines = [
+            f"t_gp: {c.total}",
+            f"weighted-sum identity: sum k_e*a_e = {total}",
+            "per edge: " + " ".join(map(str, coeffs)),
+        ]
+        if len(set(coeffs)) != 1:
+            payload["applicable"] = False
+            lines.append("divisibility test not applicable: edges lie on unequal geodesic counts")
+            _emit(payload, args.json, lines)
+            return EXIT_NOT_APPLICABLE
         res = formulas.edge_transitive_feasibility(coeffs[0], c.total, g.edge_count)
-        payload.update(_feasibility_payload(res))
-        lines.append(f"{'feasible' if res.feasible else 'infeasible'}: {res.reason}")
-        _emit(payload, args.json, lines)
-        return EXIT_LEECH if res.feasible else EXIT_NEITHER
-    payload["applicable"] = False
-    lines.append("divisibility test not applicable: edges lie on unequal geodesic counts")
+    payload.update(_feasibility_payload(res))
+    lines.append(f"{'feasible' if res.feasible else 'infeasible'}: {res.reason}")
     _emit(payload, args.json, lines)
-    return EXIT_NOT_APPLICABLE
+    return EXIT_LEECH if res.feasible else EXIT_NEITHER
 
 
 def cmd_census(args) -> int:
@@ -453,7 +386,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, with_json=True):
         p.add_argument("inputs", nargs="*", help="input file(s)")
-        p.add_argument("--family", help="family spec such as cycle:10, knn:5, kmn:3x4, wheel:6, complete:4, path:5, prism")
+        p.add_argument(
+            "--family",
+            help="family spec, one of " + ", ".join(f.usage for f in FAMILIES.values()),
+        )
         if with_json:
             p.add_argument("--json", action="store_true", help="machine-readable output")
 
@@ -472,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-label", type=int, default=None, help="largest label to try (default: proven bound)")
     p.add_argument("--sum", type=int, default=None, help="force the label sum (default: derived when valid)")
     p.add_argument("--time-limit", type=float, default=None, help="wall-clock limit in seconds")
-    p.add_argument("--node-limit", type=int, default=None, help="stop at this many nodes (candidate labels tried)")
+    p.add_argument("--node-limit", type=int, default=None, help="stop at this many nodes (candidate labels tried); at --workers above 1 the limit applies to each worker")
     p.add_argument("--all", action="store_true", help="collect every witness instead of stopping at the first")
     _add_workers(p)
     p.add_argument("--seedless", action="store_true", help="do not derive bounds from counting arguments; search labels up to t_gp")

@@ -12,6 +12,10 @@ Edge-order conventions are normative because labeling files are positional:
                            n-1, spokes (i, hub) afterwards in rim order
   prism()                  triangle 0,1,2, triangle 3,4,5, then the matching
 
+FAMILIES maps each spec name to its generator and, where the paper proves
+them, the closed-form t_gp and divisibility test; parse_family builds the
+graph of a spec such as cycle:10, kmn:3x4 or prism from it.
+
 The nine minimal forbidden subgraphs of line graphs and the catalog of all
 connected graphs on 2..5 vertices ship as graph6 assets with checksums, so
 the census experiments run without an external graph database.
@@ -21,9 +25,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import dataclass
 from importlib import resources
+from typing import Callable
 
-from .errors import CatalogMissingError, TooSmallError
+from . import formulas
+from .errors import CatalogMissingError, ConfigInvalidError, TooSmallError
 from .graph import Graph, build_graph
 from .graphio import graph6_decode
 
@@ -75,6 +82,61 @@ def prism() -> Graph:
         6,
         [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)],
     )
+
+
+@dataclass(frozen=True)
+class Family:
+    """A graph family as a spec names it.
+
+    make, tgp and feasibility take arity integer parameters. tgp and
+    feasibility are None without a closed form, and tgp returns None where
+    its form does not reach (kmn with m != n).
+    """
+
+    name: str
+    make: Callable[..., Graph]
+    arity: int
+    tgp: Callable[..., int | None] | None = None
+    feasibility: Callable[[int], formulas.FeasibilityResult] | None = None
+
+    @property
+    def usage(self) -> str:
+        return self.name + ("", ":N", ":MxN")[self.arity]
+
+
+FAMILIES: dict[str, Family] = {f.name: f for f in (
+    Family("cycle", cycle, 1, formulas.tgp_cycle, formulas.cycle_feasibility),
+    Family("path", path, 1),
+    Family("complete", complete, 1, formulas.tgp_complete),
+    Family("knn", lambda n: complete_bipartite(n, n), 1, formulas.tgp_knn, formulas.knn_feasibility),
+    Family("kmn", complete_bipartite, 2, lambda m, n: formulas.tgp_knn(m) if m == n else None),
+    Family("wheel", wheel, 1, formulas.tgp_wheel),
+    Family("prism", prism, 0),
+)}
+
+
+def parse_family(spec: str) -> tuple[Graph, Family, tuple[int, ...]]:
+    """Build the graph a spec names; returns (graph, family, params).
+
+    A spec is NAME, NAME:N or NAME:MxN, the name in any case and the
+    parameters in ASCII digits. Raises ConfigInvalidError for an unknown
+    name or a malformed parameter.
+    """
+    name, _, param = spec.partition(":")
+    family = FAMILIES.get(name.lower())
+    if family is None:
+        raise ConfigInvalidError(
+            f"unknown family {name.lower()!r} in {spec!r}; known: {', '.join(FAMILIES)}"
+        )
+    parts = param.split("x") if param else []
+    # isdigit alone admits digits such as '²' that int() rejects
+    if len(parts) != family.arity or not all(p.isascii() and p.isdigit() for p in parts):
+        raise ConfigInvalidError(
+            f"malformed family spec {spec!r}: {family.name} takes {family.usage}, "
+            "with parameters in ASCII digits"
+        )
+    params = tuple(map(int, parts))
+    return family.make(*params), family, params
 
 
 def _load_asset(filename: str) -> tuple[list[str], dict]:

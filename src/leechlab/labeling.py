@@ -110,7 +110,8 @@ def classify(g: Graph, lab: Labeling | Sequence[int]) -> ClassificationReport:
         )
     paths = enumerate_geodesics(g)
     t_gp = len(paths)
-    weights = sorted(path_weight(lab, p) for p in paths)
+    # the label count matches g.edge_count, so every edge id indexes a label
+    weights = sorted(sum(map(lab.labels.__getitem__, p.edge_ids)) for p in paths)
     counts = Counter(weights)
     missing = tuple(v for v in range(1, t_gp + 1) if v not in counts)
     duplicates = tuple((v, c) for v, c in sorted(counts.items()) if c > 1)

@@ -34,7 +34,8 @@ window left after the weight_bound, complement_window and symmetry floors
 distinct_label does not reject. It counts whether or not its weights then
 collide (weight_duplicate), and node_limit stops the search at its N-th
 node. At workers > 1 the count is the sum over the workers' chunks, each run
-to its own end.
+to its own end, and node_limit applies to each chunk on its own, so a
+limited search may explore up to workers * node_limit nodes.
 
 The kernel keeps the used weights (bits 1..t) and the used labels as int
 bitsets and passes new ones down to each child, so nothing is undone on the
@@ -59,7 +60,7 @@ from operator import mul
 from typing import Iterator
 
 from .errors import ConfigInvalidError, EmptyGraphError, UnknownPresetError
-from .families import beineke_graphs, complete, cycle, prism, wheel
+from .families import beineke_graphs, parse_family
 from .formulas import as_even_cycle, max_label_bound
 from .graph import Graph, _census_of, enumerate_geodesics, stabilizer_orbits
 from .graphio import graph6_decode
@@ -99,7 +100,8 @@ class SearchConfig:
     """Search parameters; None fields are derived from the graph at run time.
 
     max_label defaults to the proven label bound in Leech mode and to t_gp in
-    almost mode. forced_label_sum defaults to T/k when every edge lies on the
+    almost mode; a larger value is lowered to t_gp, since each edge is a
+    geodesic. forced_label_sum defaults to T/k when every edge lies on the
     same number k of geodesics and k divides T (Leech mode only); it then
     restricts the plain label sum exactly.
     """
@@ -119,8 +121,10 @@ class SearchOutcome:
     nodes_explored counts candidate labels inside each depth's window (after
     the weight_bound, complement_window and symmetry floors) that
     distinct_label lets through, whether or not their weights then collide;
-    at workers > 1 it sums over the workers' chunks. pruning_stats holds the
-    rules that cut anything, in ALL_RULES order.
+    at workers > 1 it sums over the workers' chunks, and node_limit applies
+    to each chunk, so a NODE_LIMIT outcome may report up to workers *
+    node_limit nodes. max_label is the bound the search used, at most t_gp.
+    pruning_stats holds the rules that cut anything, in ALL_RULES order.
     """
 
     status: Status
@@ -211,7 +215,7 @@ class _Prepared:
             self.weighted_lo, self.weighted_hi = total - (t - 1), total + (t - 1)
 
         if cfg.max_label is not None:
-            self.max_label = cfg.max_label
+            self.max_label = min(cfg.max_label, t)
         elif self.leech and derive_bounds:
             self.max_label = max_label_bound(g, c).max_label
         else:
@@ -534,8 +538,10 @@ def search(
     """Run the labeling search and return its outcome.
 
     workers > 1 splits the first edge's candidate labels across processes;
-    node counts then aggregate over workers, but the status is identical to
-    a single-worker run; workers < 1 raises ConfigInvalidError.
+    node counts then aggregate over workers, and the limits apply to each
+    worker's chunk, so a NODE_LIMIT search may explore up to workers *
+    node_limit nodes; without limits the status is identical to a
+    single-worker run. workers < 1 raises ConfigInvalidError.
     derive_bounds=False skips deriving max_label and forced_label_sum from
     the counting arguments (both stay available as explicit config fields).
     disabled_rules names pruning rules to switch off, which affects cost
@@ -548,13 +554,9 @@ def search(
     if workers == 1:
         status, witnesses, nodes, stats = _search_single(prep)
     else:
-        values = list(range(1, prep.max_label + 1))
-        chunks = [values[i::workers] for i in range(workers) if values[i::workers]]
-        jobs = [(prep, chunk) for chunk in chunks]
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            results = list(pool.map(_parallel_chunk, jobs))
+        values = range(1, prep.max_label + 1)
+        jobs = [(prep, values[i::workers]) for i in range(min(workers, len(values)))]
+        results = list(_pool_map(_parallel_chunk, jobs, len(jobs)))
         witnesses = sorted(
             {w for _, ws, _, _ in results for w in ws}, key=lambda w: w.labels
         )
@@ -585,37 +587,34 @@ def search(
     )
 
 
-_PRESETS: dict[str, tuple] = {
-    "C10": (lambda: cycle(10), Mode.LEECH),
-    "C5": (lambda: cycle(5), Mode.LEECH),
-    "W5": (lambda: wheel(5), Mode.LEECH),
-    "W6": (lambda: wheel(6), Mode.LEECH),
-    "W7": (lambda: wheel(7), Mode.ALMOST),
-    "prism": (prism, Mode.LEECH),
-    "K4": (lambda: complete(4), Mode.LEECH),
+_PRESETS: dict[str, tuple[str, Mode]] = {
+    "C10": ("cycle:10", Mode.LEECH),
+    "C5": ("cycle:5", Mode.LEECH),
+    "W5": ("wheel:5", Mode.LEECH),
+    "W6": ("wheel:6", Mode.LEECH),
+    "W7": ("wheel:7", Mode.ALMOST),
+    "prism": ("prism", Mode.LEECH),
+    "K4": ("complete:4", Mode.LEECH),
 }
 
 
 def search_family_presets(name: str, *, workers: int = 1) -> SearchOutcome:
     """Run the search on a named preset with bounds derived from the formulas.
 
-    Recognized: C10, C5, W5, W6, W7, prism, K4, and beineke_1 .. beineke_9.
-    W7 runs in almost mode, everything else in Leech mode.
+    Recognized: C10, C5, W5, W6, W7, prism, K4, and beineke_1 .. beineke_9
+    (the index in ASCII digits). W7 runs in almost mode, everything else in
+    Leech mode.
     """
     if name.startswith("beineke_"):
-        try:
-            idx = int(name.split("_", 1)[1])
-        except ValueError:
-            raise UnknownPresetError(name) from None
+        idx = name[len("beineke_"):]
         graphs = beineke_graphs()
-        if not 1 <= idx <= len(graphs):
+        if not (idx.isascii() and idx.isdigit() and 1 <= int(idx) <= len(graphs)):
             raise UnknownPresetError(name)
-        g = graphs[idx - 1][1]
-        return search(g, SearchConfig(mode=Mode.LEECH), workers=workers)
+        return search(graphs[int(idx) - 1][1], SearchConfig(mode=Mode.LEECH), workers=workers)
     if name not in _PRESETS:
         raise UnknownPresetError(name)
-    factory, mode = _PRESETS[name]
-    return search(factory(), SearchConfig(mode=mode), workers=workers)
+    spec, mode = _PRESETS[name]
+    return search(parse_family(spec)[0], SearchConfig(mode=mode), workers=workers)
 
 
 @dataclass(frozen=True)
@@ -708,11 +707,12 @@ def census_corpus(
     jobs = [(i, g, time_limit, node_limit) for i, g in enumerate(graphs)]
     if workers == 1:
         return map(_corpus_row, jobs)
-    return _pooled_rows(jobs, workers)
+    return _pool_map(_corpus_row, jobs, workers)
 
 
-def _pooled_rows(jobs, workers: int) -> Iterator[CorpusRow]:
+def _pool_map(fn, jobs, workers: int) -> Iterator:
+    """fn over jobs in a pool of workers processes, results in input order."""
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(_corpus_row, jobs)
+        yield from pool.map(fn, jobs)

@@ -36,9 +36,29 @@ class TestFamilySpecs:
         assert parse_family("path:5")[0].edge_count == 4
 
     def test_bad_specs(self):
-        for spec in ("triangle:3", "cycle:x", "kmn:3", "prism:1"):
+        for spec in (
+            "triangle:3", "cycle:x", "kmn:3", "prism:1",
+            # parameters are ASCII digits: no sign, space, underscore or
+            # other script's digits, which int() accepts, and no '²'
+            "wheel:+\u0666", "cycle:5_0", "cycle: 5", "cycle:5 ", "cycle:\u0665",
+            "kmn:3x+4", "cycle:5\u00b2",
+        ):
             with pytest.raises(Exception):
                 parse_family(spec)
+
+    @pytest.mark.parametrize("spec", ["wheel:+\u0666", "cycle:5_0", "cycle: 5", "triangle:3"])
+    def test_bad_spec_is_one_usage_error_line_from_every_command(self, capsys, tmp_path, spec):
+        labels = tmp_path / "labels.txt"
+        labels.write_text("1 2 3 4 5 6 7 8 9 10\n")
+        errors = set()
+        for command in ("tgp", "search", "verify", "feasible"):
+            extra = [str(labels)] if command == "verify" else []
+            code, out, err = run(capsys, command, "--family", spec, *extra)
+            assert code == EXIT_USAGE
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+            errors.add(err)
+        assert len(errors) == 1
 
 
 class TestTgp:
@@ -83,9 +103,11 @@ class TestTgp:
         assert "line 2" in err
 
     def test_closed_form_mismatch_fails_loudly(self, capsys, monkeypatch):
-        import leechlab.cli as cli_mod
+        from dataclasses import replace
 
-        monkeypatch.setattr(cli_mod.formulas, "tgp_cycle", lambda n: 999)
+        from leechlab.families import FAMILIES
+
+        monkeypatch.setitem(FAMILIES, "cycle", replace(FAMILIES["cycle"], tgp=lambda n: 999))
         code, out, err = run(capsys, "tgp", "--family", "cycle:4", "--closed-form")
         assert code == 70
         assert "mismatch" in err

@@ -6,6 +6,7 @@ import pytest
 
 from leechlab import families
 from leechlab.errors import CatalogMissingError, TooSmallError
+from leechlab.formulas import edge_transitive_feasibility
 from leechlab.graph import census
 
 
@@ -75,6 +76,64 @@ class TestGenerators:
             lambda: families.complete_bipartite(3, 4),
         ):
             assert make().edges == make().edges
+
+
+# each registry entry's spec pattern, generator and parameter grid
+REGISTRY_CASES = {
+    "cycle": ("cycle:{}", families.cycle, [(n,) for n in range(3, 13)]),
+    "path": ("path:{}", families.path, [(n,) for n in range(1, 8)]),
+    "complete": ("complete:{}", families.complete, [(n,) for n in range(1, 9)]),
+    "knn": ("knn:{}", lambda n: families.complete_bipartite(n, n), [(n,) for n in range(1, 6)]),
+    "kmn": (
+        "kmn:{}x{}", families.complete_bipartite,
+        [(m, n) for m in range(1, 5) for n in range(1, 5)],
+    ),
+    "wheel": ("wheel:{}", families.wheel, [(n,) for n in range(4, 12)]),
+    "prism": ("prism", families.prism, [()]),
+}
+
+
+class TestRegistry:
+    def test_cases_cover_every_family(self):
+        assert set(REGISTRY_CASES) == set(families.FAMILIES)
+        for name, family in families.FAMILIES.items():
+            assert family.name == name
+
+    @pytest.mark.parametrize("name", sorted(REGISTRY_CASES))
+    def test_spec_builds_the_generators_graph(self, name):
+        pattern, make, grid = REGISTRY_CASES[name]
+        for params in grid:
+            g, family, parsed = families.parse_family(pattern.format(*params))
+            assert (family, parsed) == (families.FAMILIES[name], params)
+            assert g == make(*params)
+            assert g.edges == make(*params).edges
+
+    @pytest.mark.parametrize("name", sorted(REGISTRY_CASES))
+    def test_closed_form_matches_census(self, name):
+        pattern, make, grid = REGISTRY_CASES[name]
+        family = families.FAMILIES[name]
+        checked = 0
+        for params in grid:
+            # the wheel's closed form starts at n = 5, K_n's at n = 2
+            if family.tgp is None or (name, params) in (("wheel", (4,)), ("complete", (1,))):
+                continue
+            expected = family.tgp(*params)
+            if expected is None:
+                assert name == "kmn" and params[0] != params[1]
+                continue
+            assert expected == census(make(*params)).total, (name, params)
+            checked += 1
+        assert checked or family.tgp is None
+
+    @pytest.mark.parametrize("name,ns", [("cycle", range(3, 13)), ("knn", range(1, 6))])
+    def test_feasibility_matches_census(self, name, ns):
+        family = families.FAMILIES[name]
+        for n in ns:
+            g = family.make(n)
+            c = census(g)
+            assert len(set(c.per_edge)) == 1
+            expected = edge_transitive_feasibility(c.per_edge[0], c.total, g.edge_count)
+            assert family.feasibility(n) == expected, (name, n)
 
 
 # (order, size, sorted degree sequence) of the nine minimal forbidden

@@ -188,6 +188,13 @@ class TestLimits:
         assert out.status is Status.NODE_LIMIT
         assert out.nodes_explored == 5000
 
+    def test_node_limit_applies_per_worker(self):
+        # each worker's chunk of first labels gets the whole limit
+        workers, limit = 2, 5000
+        out = search(cycle(10), SearchConfig(max_label=31, node_limit=limit), workers=workers)
+        assert out.status is Status.NODE_LIMIT
+        assert limit < out.nodes_explored <= workers * limit
+
     @pytest.mark.parametrize(
         "g,cfg,disabled",
         [
@@ -256,6 +263,15 @@ class TestDerivedBounds:
     def test_almost_default_max_label_is_t(self):
         out = search(cycle(4), SearchConfig(mode=Mode.ALMOST, node_limit=10))
         assert out.max_label == 8
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_max_label_above_t_is_lowered_to_t(self, mode):
+        # a label above t would be the weight of its own one-edge geodesic;
+        # the free-label list is sized by the effective bound, not the asked one
+        at_t = search(cycle(3), SearchConfig(mode=mode, max_label=3))
+        above = search(cycle(3), SearchConfig(mode=mode, max_label=10**6))
+        assert above.max_label == 3
+        assert (above.status, above.witnesses) == (at_t.status, at_t.witnesses)
 
 
 def brute_force_orbits(g, order):
@@ -350,6 +366,10 @@ class TestPresets:
             search_family_presets("beineke_99")
         with pytest.raises(UnknownPresetError):
             search_family_presets("beineke_x")
+        # the index is ASCII digits only, as a family spec's parameters are
+        for name in ("beineke_+1", "beineke_ 1", "beineke_\u0661", "beineke_0"):
+            with pytest.raises(UnknownPresetError):
+                search_family_presets(name)
 
 
 class TestCensusCorpus:
