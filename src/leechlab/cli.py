@@ -27,8 +27,10 @@ can assert results directly:
 Graph sources are files (edge-list text, or .g6 for graph6) or --family
 specs from families.FAMILIES: cycle:N, path:N, complete:N, knn:N, kmn:MxN,
 wheel:N, prism (names in any case, parameters in ASCII digits).
-LEECHLAB_WORKERS sets the default worker count; flags override it. A worker
-count that is not an integer >= 1, from either, exits 64 from search and census.
+LEECHLAB_WORKERS sets the default worker count; flags override it. Integers,
+there as in flags, are ASCII digits (graphio's one integer reader), and a
+malformed number exits 64 with one error line (from LEECHLAB_WORKERS, only in
+search and census). Input files are read by graphio's one line reader.
 """
 
 from __future__ import annotations
@@ -48,9 +50,9 @@ from .errors import (
     TooSmallError,
     UnknownPresetError,
 )
-from .families import FAMILIES, Family, parse_family
+from .families import FAMILIES, Family, _parse_spec, parse_family
 from .graph import Graph, census
-from .graphio import format_labeling, load_graph, load_labeling
+from .graphio import _ascii_int, _data_lines, format_labeling, load_graph, load_labeling
 from .labeling import Verdict, classify
 from .search import Mode, SearchConfig, Status, census_corpus, search
 
@@ -242,12 +244,10 @@ def _feasibility_payload(res) -> dict:
 
 def _parse_range(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition("..")
-    if not sep:
-        raise _CliError(f"--range wants A..B, got {text!r}", EXIT_USAGE)
-    try:
-        return int(lo), int(hi)
-    except ValueError:
-        raise _CliError(f"--range wants integers, got {text!r}", EXIT_USAGE) from None
+    lo, hi = _ascii_int(lo), _ascii_int(hi)
+    if not sep or lo is None or hi is None:
+        raise _CliError(f"--range wants A..B in ASCII digits, got {text!r}", EXIT_USAGE)
+    return lo, hi
 
 
 def cmd_feasible(args) -> int:
@@ -281,11 +281,13 @@ def cmd_feasible(args) -> int:
             print(f"feasible at: {' '.join(map(str, feasible_ns)) if feasible_ns else 'none'}")
         return 0
 
-    g, family, params = _resolve_graph(args, args.inputs)
+    # a closed-form test needs the spec alone, not the graph
+    family, params = _parse_spec(args.family) if args.family and not args.inputs else (None, ())
     if family is not None and family.feasibility is not None:
         res = family.feasibility(*params)
         payload, lines = {"command": "feasible", "family": args.family}, []
     else:
+        g = _resolve_graph(args, args.inputs)[0]
         c = census(g)
         coeffs, total = formulas.general_weighted_sum_identity(c)
         payload = {
@@ -322,9 +324,8 @@ def cmd_census(args) -> int:
     else:
         with open(path, "r", encoding="ascii") as fh:
             text = fh.read()
-    lines = [line.strip() for line in text.splitlines()]
     rows = census_corpus(
-        [line for line in lines if line and not line.startswith("#")],
+        [line for _, line in _data_lines(text.splitlines())],
         time_limit=args.time_limit,
         node_limit=args.node_limit,
         workers=args.workers,
@@ -350,21 +351,27 @@ def cmd_census(args) -> int:
     return 0
 
 
-def _worker_count(text: str) -> int:
-    """A --workers value, or the LEECHLAB_WORKERS default that stands in for it.
+def _count(name: str):
+    """The argparse type of the integer >= 1 that name takes.
 
-    Raises _CliError rather than ValueError: argparse turns the latter into
-    its own exit 2, and a bad worker count is a usage error (exit 64) here.
+    It raises _CliError, not ValueError, which argparse would turn into its
+    own exit 2 and usage dump: a malformed number is a usage error here.
     """
-    try:
-        workers = int(text)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise _CliError(
-            f"--workers and LEECHLAB_WORKERS take an integer >= 1, got {text!r}", EXIT_USAGE
-        )
-    return workers
+    def convert(text: str) -> int:
+        value = _ascii_int(text)
+        if value is None or value < 1:
+            raise _CliError(f"{name} takes an integer >= 1 in ASCII digits, got {text!r}", EXIT_USAGE)
+        return value
+    return convert
+
+
+def _seconds(text: str) -> float:
+    """The argparse type of --time-limit, raising as _count's do; the search
+    checks that the value is positive (NaN is not)."""
+    try:  # float() also takes other scripts' digits: the text must be ASCII
+        return float(text.encode("ascii"))
+    except (UnicodeEncodeError, ValueError):
+        raise _CliError(f"--time-limit takes a number of seconds, got {text!r}", EXIT_USAGE) from None
 
 
 def _add_workers(p) -> None:
@@ -372,7 +379,8 @@ def _add_workers(p) -> None:
     # after --help has had its turn, so a bad LEECHLAB_WORKERS fails search
     # and census alone
     p.add_argument(
-        "--workers", type=_worker_count, default=os.environ.get("LEECHLAB_WORKERS") or "1",
+        "--workers", type=_count("--workers (or LEECHLAB_WORKERS)"),
+        default=os.environ.get("LEECHLAB_WORKERS") or "1",
         help="parallel workers (default from LEECHLAB_WORKERS, else 1)",
     )
 
@@ -405,10 +413,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="search for a (almost) geodesic Leech labeling")
     add_common(p)
     p.add_argument("--almost", action="store_true", help="search for an almost labeling instead")
-    p.add_argument("--max-label", type=int, default=None, help="largest label to try (default: proven bound)")
-    p.add_argument("--sum", type=int, default=None, help="force the label sum (default: derived when valid)")
-    p.add_argument("--time-limit", type=float, default=None, help="wall-clock limit in seconds")
-    p.add_argument("--node-limit", type=int, default=None, help="stop at this many nodes (candidate labels tried); at --workers above 1 the limit applies to each worker")
+    p.add_argument("--max-label", type=_count("--max-label"), default=None, help="largest label to try (default: proven bound)")
+    p.add_argument("--sum", type=_count("--sum"), default=None, help="force the label sum (default: derived when valid)")
+    p.add_argument("--time-limit", type=_seconds, default=None, help="wall-clock limit in seconds")
+    p.add_argument("--node-limit", type=_count("--node-limit"), default=None, help="stop at this many nodes (candidate labels tried); at --workers above 1 the limit applies to each worker")
     p.add_argument("--all", action="store_true", help="collect every witness instead of stopping at the first")
     _add_workers(p)
     p.add_argument("--seedless", action="store_true", help="do not derive bounds from counting arguments; search labels up to t_gp")
@@ -422,8 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("census", help="read a graph6 corpus in full, then stream one JSON row per graph in input order")
     add_common(p, with_json=False)
     _add_workers(p)
-    p.add_argument("--time-limit", type=float, default=None, help="per-graph wall-clock limit in seconds, across both searches")
-    p.add_argument("--node-limit", type=int, default=None, help="per-graph node limit, across both searches")
+    p.add_argument("--time-limit", type=_seconds, default=None, help="per-graph wall-clock limit in seconds, across both searches")
+    p.add_argument("--node-limit", type=_count("--node-limit"), default=None, help="per-graph node limit, across both searches")
     p.set_defaults(fn=cmd_census)
 
     return parser

@@ -14,7 +14,8 @@ Edge-order conventions are normative because labeling files are positional:
 
 FAMILIES maps each spec name to its generator and, where the paper proves
 them, the closed-form t_gp and divisibility test; parse_family builds the
-graph of a spec such as cycle:10, kmn:3x4 or prism from it.
+graph of a spec such as cycle:10, kmn:3x4 or prism from it, and
+_parse_spec reads a spec without building the graph.
 
 The nine minimal forbidden subgraphs of line graphs and the catalog of all
 connected graphs on 2..5 vertices ship as graph6 assets with checksums, so
@@ -32,7 +33,7 @@ from typing import Callable
 from . import formulas
 from .errors import CatalogMissingError, ConfigInvalidError, TooSmallError
 from .graph import Graph, build_graph
-from .graphio import graph6_decode
+from .graphio import _ascii_int, _data_lines, graph6_decode
 
 
 def cycle(n: int) -> Graph:
@@ -115,8 +116,8 @@ FAMILIES: dict[str, Family] = {f.name: f for f in (
 )}
 
 
-def parse_family(spec: str) -> tuple[Graph, Family, tuple[int, ...]]:
-    """Build the graph a spec names; returns (graph, family, params).
+def _parse_spec(spec: str) -> tuple[Family, tuple[int, ...]]:
+    """The family and parameters a spec names, without building its graph.
 
     A spec is NAME, NAME:N or NAME:MxN, the name in any case and the
     parameters in ASCII digits. Raises ConfigInvalidError for an unknown
@@ -128,14 +129,18 @@ def parse_family(spec: str) -> tuple[Graph, Family, tuple[int, ...]]:
         raise ConfigInvalidError(
             f"unknown family {name.lower()!r} in {spec!r}; known: {', '.join(FAMILIES)}"
         )
-    parts = param.split("x") if param else []
-    # isdigit alone admits digits such as '²' that int() rejects
-    if len(parts) != family.arity or not all(p.isascii() and p.isdigit() for p in parts):
+    params = tuple(map(_ascii_int, param.split("x"))) if param else ()
+    if len(params) != family.arity or None in params:
         raise ConfigInvalidError(
             f"malformed family spec {spec!r}: {family.name} takes {family.usage}, "
             "with parameters in ASCII digits"
         )
-    params = tuple(map(int, parts))
+    return family, params
+
+
+def parse_family(spec: str) -> tuple[Graph, Family, tuple[int, ...]]:
+    """Build the graph a spec names; returns (graph, family, params)."""
+    family, params = _parse_spec(spec)
     return family.make(*params), family, params
 
 
@@ -155,7 +160,7 @@ def _load_asset(filename: str) -> tuple[list[str], dict]:
         raise CatalogMissingError(
             f"{filename} checksum mismatch: expected {entry['sha256']}, got {digest}"
         )
-    lines = [ln for ln in raw.decode("ascii").splitlines() if ln.strip()]
+    lines = [line for _, line in _data_lines(raw.decode("ascii").splitlines())]
     if len(lines) != entry["count"]:
         raise CatalogMissingError(
             f"{filename} carries {len(lines)} graphs, manifest promises {entry['count']}"

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import EmptyGraphError, FormulaDomainError, TooSmallError
-from .graph import GeodesicCensus, Graph
+from .graph import INFINITY, GeodesicCensus, Graph, distances
 
 
 def tgp_cycle(n: int) -> int:
@@ -141,31 +141,13 @@ def general_weighted_sum_identity(c: GeodesicCensus) -> tuple[tuple[int, ...], i
     return c.per_edge, c.total * (c.total + 1) // 2
 
 
-def cycle_length(g: Graph) -> int | None:
-    """n if g is a single cycle on n vertices, else None."""
-    n = g.vertex_count
-    if n < 3 or g.edge_count != n:
-        return None
-    if any(d != 2 for d in g.degrees()):
-        return None
-    # connected 2-regular graph with n = m is a single cycle
-    seen = {0}
-    prev, cur = None, 0
-    while True:
-        nxt = [w for w, _ in g.neighbors(cur) if w != prev]
-        if not nxt:
-            return None
-        prev, cur = cur, nxt[0]
-        if cur == 0:
-            break
-        seen.add(cur)
-    return n if len(seen) == n else None
-
-
 def as_even_cycle(g: Graph) -> int | None:
-    """Half-length k if g is a cycle on 2k vertices, else None."""
-    n = cycle_length(g)
-    if n is None or n % 2 != 0:
+    """Half-length k if g is a cycle on 2k vertices, else None.
+
+    A connected graph whose every degree is 2 is a single cycle.
+    """
+    n = g.vertex_count
+    if n < 4 or n % 2 or any(d != 2 for d in g.degrees()) or INFINITY in distances(g, 0):
         return None
     return n // 2
 

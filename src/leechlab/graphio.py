@@ -1,8 +1,14 @@
 """File formats: edge-list text, positional labeling files, and graph6.
 
-Edge-list format: first non-comment line is "n m", followed by m lines "u v"
-with 0-based vertex indices. Labeling format: m whitespace-separated positive
-integers matching edge ids positionally. '#' starts a comment in both.
+Edge-list format: first data line is "n m", followed by m lines "u v" with
+0-based vertex indices. Labeling format: m whitespace-separated positive
+integers matching edge ids positionally. In all three formats '#' starts a
+comment ('#' is never a graph6 byte), and blank lines are skipped.
+
+_data_lines is the package's one reader of lines and _ascii_int its one
+reader of integers, for files, CLI flags, family specs and preset names
+alike: an integer is a token of ASCII digits, without the signs, spaces,
+underscores and other scripts' digits that int() would also take.
 
 graph6 follows the standard ASCII encoding; only the single-byte order field
 (n <= 62) is supported, which covers every corpus this package targets. The
@@ -22,34 +28,35 @@ GRAPH6_HEADER = ">>graph6<<"
 _MAX_G6_VERTICES = 62
 
 
-def _strip_comment(line: str) -> str:
-    return line.split("#", 1)[0].strip()
+def _data_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """(line number from 1, stripped content) of each line left non-blank
+    once its '#' comment is cut off."""
+    for lineno, raw in enumerate(lines, start=1):
+        content = raw.split("#", 1)[0].strip()
+        if content:
+            yield lineno, content
+
+
+def _ascii_int(token: str) -> int | None:
+    """The value of a token of ASCII digits, else None, as for a token past
+    int()'s digit limit; each caller raises its own error for None."""
+    try:
+        return int(token) if token.isascii() and token.isdigit() else None
+    except ValueError:
+        return None
 
 
 def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list text format into a Graph."""
-    header: tuple[int, int] | None = None
-    edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw)
-        if not line:
-            continue
-        fields = line.split()
-        if len(fields) != 2:
-            raise ParseError(f"expected two integers, got {raw.strip()!r}", lineno)
-        try:
-            a, b = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise ParseError(f"expected two integers, got {raw.strip()!r}", lineno) from None
-        if header is None:
-            header = (a, b)
-        else:
-            edges.append((a, b))
-    if header is None:
+    pairs: list[tuple[int, int]] = []
+    for lineno, line in _data_lines(text.splitlines()):
+        pair = tuple(map(_ascii_int, line.split()))
+        if len(pair) != 2 or None in pair:
+            raise ParseError(f"expected two integers in ASCII digits, got {line!r}", lineno)
+        pairs.append(pair)
+    if not pairs:
         raise ParseError("empty edge-list file")
-    n, m = header
-    if n < 0 or m < 0:
-        raise ParseError(f"header must be non-negative, got {n} {m}")
+    (n, m), edges = pairs[0], pairs[1:]
     if len(edges) != m:
         raise ParseError(f"header promises {m} edges, file contains {len(edges)}")
     return build_graph(n, edges)
@@ -63,19 +70,16 @@ def format_edge_list(g: Graph) -> str:
 
 def parse_labeling(text: str) -> Labeling:
     """Parse a positional labeling file (comments allowed, order significant)."""
-    tokens: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw)
-        if not line:
-            continue
-        for field in line.split():
-            try:
-                tokens.append(int(field))
-            except ValueError:
-                raise ParseError(f"expected an integer label, got {field!r}", lineno) from None
-    if not tokens:
+    labels: list[int] = []
+    for lineno, line in _data_lines(text.splitlines()):
+        for token in line.split():
+            label = _ascii_int(token)
+            if label is None:
+                raise ParseError(f"expected a label in ASCII digits, got {token!r}", lineno)
+            labels.append(label)
+    if not labels:
         raise ParseError("empty labeling file")
-    return Labeling(tuple(tokens))
+    return Labeling(tuple(labels))
 
 
 def format_labeling(lab: Labeling) -> str:
@@ -139,12 +143,9 @@ def graph6_encode(g: Graph) -> str:
 
 
 def iter_graph6(lines: Iterable[str]) -> Iterator[Graph]:
-    """Decode graph6 lines one at a time, skipping blanks and comments."""
-    for line in lines:
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        yield graph6_decode(stripped)
+    """Decode the graph6 data lines of lines one at a time."""
+    for _, line in _data_lines(lines):
+        yield graph6_decode(line)
 
 
 def load_graph(path: str) -> Graph:
@@ -152,7 +153,7 @@ def load_graph(path: str) -> Graph:
     with open(path, "r", encoding="ascii") as fh:
         text = fh.read()
     if path.endswith(".g6"):
-        first = next((ln for ln in text.splitlines() if ln.strip()), "")
+        first = next((line for _, line in _data_lines(text.splitlines())), "")
         return graph6_decode(first)
     return parse_edge_list(text)
 

@@ -63,7 +63,7 @@ from .errors import ConfigInvalidError, EmptyGraphError, UnknownPresetError
 from .families import beineke_graphs, parse_family
 from .formulas import as_even_cycle, max_label_bound
 from .graph import Graph, _census_of, enumerate_geodesics, stabilizer_orbits
-from .graphio import graph6_decode
+from .graphio import _ascii_int, graph6_decode
 from .labeling import Labeling, Verdict, classify, verdict_of
 
 ALL_RULES = (
@@ -278,8 +278,9 @@ def _leaf_matches(prep: _Prepared, labels: list[int]) -> bool:
     return verdict_of(weights, prep.t) is _TARGET[prep.mode]
 
 
-def _search_single(prep: _Prepared, first_values=None):
-    """Depth-first search; returns (status, witnesses, nodes, stats)."""
+def _search_single(prep: _Prepared, first_values):
+    """Depth-first search with the first edge's labels among first_values;
+    returns (status, witnesses, nodes, stats)."""
     m, t = prep.m, prep.t
     order = prep.order
     k_by_depth = prep.k_by_depth
@@ -295,7 +296,7 @@ def _search_single(prep: _Prepared, first_values=None):
     dup_budget = 0 if leech else 1
     # bit w set for every weight 0..t; weights above t are never recorded
     tmask = (2 << t) - 1
-    first_mask = None if first_values is None else sum(1 << v for v in set(first_values))
+    first_mask = sum(1 << v for v in set(first_values))
 
     labels = [0] * m
     label_of = labels.__getitem__
@@ -455,7 +456,7 @@ def _search_single(prep: _Prepared, first_values=None):
         if vlo > vhi:
             return
         window = (2 << vhi) - (1 << vlo)
-        if depth == 0 and first_mask is not None:
+        if depth == 0:
             window &= first_mask
         if not check_wdup:
             any_hit = two_hit = 0
@@ -522,7 +523,7 @@ def _verify_witnesses(g: Graph, mode: Mode, witnesses) -> None:
             )
 
 
-def _parallel_chunk(args):
+def _search_chunk(args):
     prep, chunk = args
     return _search_single(prep, first_values=chunk)
 
@@ -541,38 +542,37 @@ def search(
     node counts then aggregate over workers, and the limits apply to each
     worker's chunk, so a NODE_LIMIT search may explore up to workers *
     node_limit nodes; without limits the status is identical to a
-    single-worker run. workers < 1 raises ConfigInvalidError.
-    derive_bounds=False skips deriving max_label and forced_label_sum from
-    the counting arguments (both stay available as explicit config fields).
-    disabled_rules names pruning rules to switch off, which affects cost
-    only.
+    single-worker run. workers < 1 raises ConfigInvalidError. find_all
+    returns the witnesses sorted by labels, and FOUND only if no limit cut
+    the list short. derive_bounds=False skips deriving max_label and
+    forced_label_sum from the counting arguments (both stay available as
+    explicit config fields). disabled_rules names pruning rules to switch
+    off, which affects cost only.
     """
     cfg = cfg or SearchConfig()
     _validate(g, cfg, workers)
     start = time.monotonic()
     prep = _Prepared(g, cfg, derive_bounds, disabled_rules)
-    if workers == 1:
-        status, witnesses, nodes, stats = _search_single(prep)
+    # worker i takes the first labels i+1, i+1+workers, ...; one worker
+    # takes them all, in this process
+    values = range(1, prep.max_label + 1)
+    jobs = [(prep, values[i::workers]) for i in range(min(workers, len(values)))]
+    results = list(_pool_map(_search_chunk, jobs, len(jobs)))
+    witnesses = sorted({w for _, ws, _, _ in results for w in ws}, key=lambda w: w.labels)
+    if not cfg.find_all:
+        witnesses = witnesses[:1]
+    nodes = sum(n for _, _, n, _ in results)
+    stats = {rule: sum(r[3][rule] for r in results) for rule in ALL_RULES}
+    statuses = {r[0] for r in results}
+    # a limit outranks the witnesses of find_all, whose list it cut short
+    if witnesses and not cfg.find_all:
+        status = Status.FOUND
+    elif Status.TIMED_OUT in statuses:
+        status = Status.TIMED_OUT
+    elif Status.NODE_LIMIT in statuses:
+        status = Status.NODE_LIMIT
     else:
-        values = range(1, prep.max_label + 1)
-        jobs = [(prep, values[i::workers]) for i in range(min(workers, len(values)))]
-        results = list(_pool_map(_parallel_chunk, jobs, len(jobs)))
-        witnesses = sorted(
-            {w for _, ws, _, _ in results for w in ws}, key=lambda w: w.labels
-        )
-        if not cfg.find_all and witnesses:
-            witnesses = witnesses[:1]
-        nodes = sum(n for _, _, n, _ in results)
-        stats = {rule: sum(r[3][rule] for r in results) for rule in ALL_RULES}
-        statuses = {r[0] for r in results}
-        if witnesses:
-            status = Status.FOUND
-        elif Status.TIMED_OUT in statuses:
-            status = Status.TIMED_OUT
-        elif Status.NODE_LIMIT in statuses:
-            status = Status.NODE_LIMIT
-        else:
-            status = Status.EXHAUSTED_NONE
+        status = Status.FOUND if witnesses else Status.EXHAUSTED_NONE
     _verify_witnesses(g, cfg.mode, witnesses)
     return SearchOutcome(
         status=status,
@@ -606,11 +606,11 @@ def search_family_presets(name: str, *, workers: int = 1) -> SearchOutcome:
     Leech mode.
     """
     if name.startswith("beineke_"):
-        idx = name[len("beineke_"):]
+        idx = _ascii_int(name[len("beineke_"):])
         graphs = beineke_graphs()
-        if not (idx.isascii() and idx.isdigit() and 1 <= int(idx) <= len(graphs)):
+        if idx is None or not 1 <= idx <= len(graphs):
             raise UnknownPresetError(name)
-        return search(graphs[int(idx) - 1][1], SearchConfig(mode=Mode.LEECH), workers=workers)
+        return search(graphs[idx - 1][1], SearchConfig(mode=Mode.LEECH), workers=workers)
     if name not in _PRESETS:
         raise UnknownPresetError(name)
     spec, mode = _PRESETS[name]
@@ -705,13 +705,15 @@ def census_corpus(
     """
     _validate_limits(time_limit, node_limit, workers)
     jobs = [(i, g, time_limit, node_limit) for i, g in enumerate(graphs)]
-    if workers == 1:
-        return map(_corpus_row, jobs)
     return _pool_map(_corpus_row, jobs, workers)
 
 
 def _pool_map(fn, jobs, workers: int) -> Iterator:
-    """fn over jobs in a pool of workers processes, results in input order."""
+    """fn over jobs, results in input order: in this process at one worker,
+    else in a pool of workers processes."""
+    if workers == 1:
+        yield from map(fn, jobs)
+        return
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:

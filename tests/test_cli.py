@@ -216,7 +216,14 @@ class TestSearch:
         assert json.loads(out)["status"] == "found"
 
     @pytest.mark.parametrize(
-        "flag,value", [("--time-limit", "nan"), ("--workers", "0"), ("--workers", "-2")]
+        "flag,value",
+        [
+            ("--time-limit", "nan"),
+            ("--workers", "0"),
+            ("--workers", "-2"),
+            ("--time-limit", "abc"),
+            ("--time-limit", "\u0661"),
+        ],
     )
     def test_nan_limit_and_workers_below_one_are_usage_errors(self, capsys, flag, value):
         code, out, err = run(capsys, "search", "--family", "cycle:5", flag, value)
@@ -344,6 +351,10 @@ class TestCensus:
             ("--time-limit", "nan"),
             ("--workers", "0"),
             ("--workers", "-2"),
+            ("--time-limit", "abc"),
+            ("--time-limit", "\u0661"),
+            ("--node-limit", "1.5"),
+            ("--node-limit", "+\u0666"),
         ],
     )
     def test_bad_limit_is_usage_error(self, capsys, tmp_path, flag, value):
@@ -383,7 +394,7 @@ class TestWorkersEnv:
         assert args.workers == 1
 
     @pytest.mark.parametrize("command", ["search", "census"])
-    @pytest.mark.parametrize("value", ["abc", "0", "-2"])
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "\u0661"])
     def test_malformed_env_is_usage_error(self, capsys, monkeypatch, tmp_path, command, value):
         monkeypatch.setenv("LEECHLAB_WORKERS", value)
         f = tmp_path / "two.g6"
@@ -406,6 +417,85 @@ class TestWorkersEnv:
         # a valid flag still overrides a malformed default
         code, out, _ = run(capsys, "search", "--family", "cycle:4", "--workers", "1", "--json")
         assert code == 0 and json.loads(out)["status"] == "found"
+
+
+class TestOutsideText:
+    """Every integer read is ASCII digits, and every file is read by one line
+    reader: '#' comments and blank lines count alike in every format."""
+
+    @pytest.mark.parametrize("text,line", [("1_0 2 3\n", 1), ("# labels\n3 -3 1\n", 2)])
+    def test_malformed_label_is_data_error(self, capsys, tmp_path, text, line):
+        f = tmp_path / "labels.txt"
+        f.write_text(text)
+        code, out, err = run(capsys, "verify", "--family", "cycle:3", str(f))
+        assert (code, out) == (EXIT_DATA, "")
+        assert err.startswith(f"error: line {line}: ") and err.count("\n") == 1
+
+    def test_signed_edge_list_header_is_data_error(self, capsys, tmp_path):
+        f = tmp_path / "g.el"
+        f.write_text("3 +3\n0 1\n1 2\n2 0\n")
+        code, out, err = run(capsys, "tgp", str(f))
+        assert (code, out) == (EXIT_DATA, "")
+        assert err.startswith("error: line 1: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--max-label", "+\u0666"),
+            ("--max-label", "abc"),
+            ("--max-label", "1_0"),
+            ("--sum", "x"),
+            ("--sum", " 30"),
+            ("--node-limit", "1.5"),
+            ("--node-limit", "1e3"),
+            ("--workers", "abc"),
+        ],
+    )
+    def test_malformed_number_flag_is_one_usage_line(self, capsys, flag, value):
+        code, out, err = run(capsys, "search", "--family", "cycle:4", flag, value)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("bounds", ["\u0663..+5", "3..+5", " 3..5", "3..5_0"])
+    def test_malformed_range_is_one_usage_line(self, capsys, bounds):
+        code, out, err = run(capsys, "feasible", "--family", "cycle:n", "--range", bounds)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: --range ") and err.count("\n") == 1
+
+    def test_commented_g6_file_reads_its_first_graph(self, capsys, tmp_path):
+        g6 = tmp_path / "k2.g6"
+        g6.write_text("# K2 and then the claw\n\nA_ # K2\nCs\n")
+        labels = tmp_path / "k2.labels"
+        labels.write_text("1\n")
+        code, out, _ = run(capsys, "tgp", str(g6), "--json")
+        assert code == EXIT_LEECH and json.loads(out)["m"] == 1
+        code, out, _ = run(capsys, "verify", str(g6), str(labels))
+        assert code == EXIT_LEECH
+        code, out, _ = run(capsys, "search", str(g6), "--json")
+        assert code == EXIT_LEECH and json.loads(out)["witnesses"] == [[1]]
+
+    def test_census_cuts_trailing_comments(self, capsys, tmp_path):
+        f = tmp_path / "corpus.g6"
+        f.write_text("# two graphs\nBw # triangle\n\n  A_\n")
+        code, out, _ = run(capsys, "census", str(f))
+        rows = [json.loads(line) for line in out.strip().splitlines()]
+        assert code == 0
+        assert [(r["n"], r["verdict"]) for r in rows[:-1]] == [(3, "leech"), (2, "leech")]
+
+    def test_feasible_closed_form_builds_no_graph(self, capsys, monkeypatch):
+        from dataclasses import replace
+
+        from leechlab.families import FAMILIES
+
+        expected = run(capsys, "feasible", "--family", "knn:3", "--json")
+
+        def refuse(*params):
+            raise AssertionError(f"feasible built knn{params}")
+
+        monkeypatch.setitem(FAMILIES, "knn", replace(FAMILIES["knn"], make=refuse))
+        assert run(capsys, "feasible", "--family", "knn:3", "--json") == expected
+        code, _, err = run(capsys, "feasible", "--family", "knn:3", "g.el")
+        assert code == EXIT_USAGE and "either" in err
 
 
 def test_missing_input_is_usage_error(capsys):

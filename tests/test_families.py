@@ -267,6 +267,20 @@ class TestAssetIntegrity:
         with pytest.raises(CatalogMissingError, match="checksum"):
             families.beineke_graphs()
 
+    def test_comments_are_not_graphs(self, tmp_path, monkeypatch):
+        import hashlib
+
+        payload = b"# the claw\n\nCs # K1,3\n"
+        manifest = (
+            '{"files": {"beineke.g6": {"sha256": "%s", "count": 1, "names": ["claw"]}}}'
+            % hashlib.sha256(payload).hexdigest()
+        )
+        monkeypatch.setattr(
+            families, "resources", self._fake_resources(tmp_path, manifest, payload)
+        )
+        [(name, g)] = families.beineke_graphs()
+        assert name == "claw" and sorted(g.degrees()) == [1, 1, 1, 3]
+
     def test_missing_file_raises(self, tmp_path, monkeypatch):
         class FakeResources:
             @staticmethod

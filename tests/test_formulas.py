@@ -173,6 +173,12 @@ class TestEvenCycleDetection:
         )
         assert as_even_cycle(two_triangles) is None
 
+    def test_rejects_disjoint_even_cycles_and_small_graphs(self):
+        two_squares = build_graph(8, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (6, 7), (4, 7)])
+        assert as_even_cycle(two_squares) is None
+        assert as_even_cycle(cycle(3)) is None
+        assert as_even_cycle(build_graph(2, [(0, 1)])) is None
+
 
 class TestMaxLabelBound:
     def test_c10_gives_31(self):

@@ -11,10 +11,37 @@ from leechlab.graphio import (
     graph6_decode,
     graph6_encode,
     iter_graph6,
+    load_graph,
     parse_edge_list,
     parse_labeling,
 )
 from leechlab.labeling import Labeling
+
+
+class TestReaders:
+    @pytest.mark.parametrize("token,value", [("0", 0), ("007", 7), ("31", 31)])
+    def test_ascii_digits_are_integers(self, token, value):
+        from leechlab.graphio import _ascii_int
+
+        assert _ascii_int(token) == value
+
+    @pytest.mark.parametrize(
+        "token",
+        [
+            "", "+3", "-3", " 3", "3 ", "1_0", "1.0", "\u0666", "3\u00b2", "0x1",
+            pytest.param("9" * 5000, id="past-int-digit-limit"),
+        ],
+    )
+    def test_anything_else_is_none(self, token):
+        from leechlab.graphio import _ascii_int
+
+        assert _ascii_int(token) is None
+
+    def test_data_lines_cut_comments_and_blanks(self):
+        from leechlab.graphio import _data_lines
+
+        lines = ["# head", "", "  A_  # K2", "\t", "#", "Cs#claw", "1 2"]
+        assert list(_data_lines(lines)) == [(3, "A_"), (6, "Cs"), (7, "1 2")]
 
 
 class TestEdgeList:
@@ -43,6 +70,11 @@ class TestEdgeList:
         with pytest.raises(ParseError):
             parse_edge_list("# nothing\n")
 
+    @pytest.mark.parametrize("text,line", [("3 +3\n0 1\n", 1), ("2 1\n0 \u0661\n", 2), ("2 1\n0 1_0\n", 2)])
+    def test_integers_are_ascii_digits(self, text, line):
+        with pytest.raises(ParseError, match=f"^line {line}: "):
+            parse_edge_list(text)
+
 
 class TestLabelingFile:
     def test_basic(self):
@@ -58,6 +90,11 @@ class TestLabelingFile:
     def test_bad_token(self):
         with pytest.raises(ParseError, match="line 1"):
             parse_labeling("1 two 3")
+
+    @pytest.mark.parametrize("token", ["1_0", "-3", "+3", "\u0663"])
+    def test_labels_are_ascii_digits(self, token):
+        with pytest.raises(ParseError, match="^line 2: "):
+            parse_labeling(f"# witness\n1 {token} 2\n")
 
 
 class TestGraph6:
@@ -103,6 +140,15 @@ class TestGraph6:
     def test_iter_graph6_skips_blanks_and_comments(self):
         graphs = list(iter_graph6(["# corpus", "", "A_", "Cs"]))
         assert [g.vertex_count for g in graphs] == [2, 4]
+
+    def test_trailing_comments_are_cut(self):
+        graphs = list(iter_graph6(["Bw # triangle", "  # K2 next", "A_#K2"]))
+        assert [g.edge_count for g in graphs] == [3, 1]
+
+    def test_load_graph_reads_the_first_data_line(self, tmp_path):
+        f = tmp_path / "claw.g6"
+        f.write_text("# the claw\n\nCs # K1,3\nA_\n")
+        assert sorted(load_graph(str(f)).degrees()) == [1, 1, 1, 3]
 
     def test_bundled_assets_decode(self):
         from importlib import resources

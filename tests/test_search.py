@@ -170,6 +170,40 @@ class TestDeterminism:
         multi = search(cycle(4), SearchConfig(find_all=True), workers=3)
         assert {w.labels for w in single.witnesses} == {w.labels for w in multi.witnesses}
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_find_all_witnesses_sorted_by_labels(self, workers):
+        # P4 in almost mode finds its ten witnesses out of label order
+        out = search(path(4), SearchConfig(mode=Mode.ALMOST, find_all=True), workers=workers)
+        labels = [w.labels for w in out.witnesses]
+        assert len(labels) == 10 and labels == sorted(labels)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_limit_cutting_find_all_short_is_the_status(self, workers):
+        # C4 has 8 witnesses in 120 nodes; 10 nodes per chunk finds some
+        out = search(cycle(4), SearchConfig(find_all=True, node_limit=10), workers=workers)
+        assert out.status is Status.NODE_LIMIT
+        assert 0 < len(out.witnesses) < 8
+
+    def test_one_worker_starts_no_pool(self):
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import leechlab
+
+        code = (
+            "import sys; from leechlab import search, census_corpus; "
+            "from leechlab.families import cycle; search(cycle(5)); "
+            "list(census_corpus(['Bw', 'A_'])); "
+            "print('concurrent.futures' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env={"PYTHONPATH": str(Path(leechlab.__file__).parents[1])},
+            capture_output=True, text=True, check=True,
+        )
+        assert proc.stdout == "False\n"
+
 
 class TestLimits:
     def test_time_limit(self):
