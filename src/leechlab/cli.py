@@ -20,7 +20,7 @@ can assert results directly:
   30  search exhausted, no labeling exists within bounds
   40  search timed out
   41  search hit its node limit
-  64  usage or configuration error
+  64  usage or configuration error, argparse's own errors included
   65  unreadable or malformed input data
   70  closed-form cross-check mismatch
 
@@ -301,12 +301,13 @@ def cmd_feasible(args) -> int:
             f"weighted-sum identity: sum k_e*a_e = {total}",
             "per edge: " + " ".join(map(str, coeffs)),
         ]
-        if len(set(coeffs)) != 1:
+        k = formulas._common_count(c)
+        if k is None:
             payload["applicable"] = False
             lines.append("divisibility test not applicable: edges lie on unequal geodesic counts")
             _emit(payload, args.json, lines)
             return EXIT_NOT_APPLICABLE
-        res = formulas.edge_transitive_feasibility(coeffs[0], c.total, g.edge_count)
+        res = formulas.edge_transitive_feasibility(k, c.total, g.edge_count)
     payload.update(_feasibility_payload(res))
     lines.append(f"{'feasible' if res.feasible else 'infeasible'}: {res.reason}")
     _emit(payload, args.json, lines)
@@ -351,12 +352,17 @@ def cmd_census(args) -> int:
     return 0
 
 
-def _count(name: str):
-    """The argparse type of the integer >= 1 that name takes.
+class _Parser(argparse.ArgumentParser):
+    """Its own errors (an unknown flag, a missing value or subcommand) exit 64
+    with one line; add_subparsers gives the subcommands this class too."""
 
-    It raises _CliError, not ValueError, which argparse would turn into its
-    own exit 2 and usage dump: a malformed number is a usage error here.
-    """
+    def error(self, message):
+        raise _CliError(message, EXIT_USAGE)
+
+
+def _count(name: str):
+    """The argparse type of the integer >= 1 that name takes; it raises
+    _CliError, not ValueError, so that the one error line names the flag."""
     def convert(text: str) -> int:
         value = _ascii_int(text)
         if value is None or value < 1:
@@ -386,7 +392,7 @@ def _add_workers(p) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="leechlab",
         description="Geodesic Leech labeling toolkit: census, verification, and exhaustive search.",
     )

@@ -8,7 +8,10 @@ where t is the geodesic path number and k_e counts the geodesics through
 edge e: summing the weights 1..t path by path must equal summing each label
 once per geodesic it sits on. When every edge lies on the same number k of
 geodesics (edge-transitive case) this pins the label sum to T/k, so k | T is
-necessary. Distinct positive labels add the floor T/k >= m(m+1)/2.
+necessary. Distinct positive labels add the floor T/k >= m(m+1)/2. The
+search and the CLI take the equal-count test (_common_count), S = T/k
+(_forced_label_sum) and an even cycle's half floor S - t (_half_floor) from
+here alone.
 """
 
 from __future__ import annotations
@@ -90,33 +93,16 @@ def edge_transitive_feasibility(k: int, t: int, m: int) -> FeasibilityResult:
     total = t * (t + 1) // 2
     label_sum = Fraction(total, k)
     floor = m * (m + 1) // 2
-    if total % k != 0:
-        return FeasibilityResult(
-            feasible=False,
-            per_edge_count=k,
-            required_total=total,
-            required_label_sum=label_sum,
-            reason=f"{total} not divisible by {k}",
+    if label_sum.denominator != 1:
+        feasible, reason = False, f"{total} not divisible by {k}"
+    elif label_sum < floor:
+        feasible, reason = False, (
+            f"forced label sum {label_sum} is below {floor}, "
+            f"the minimum for {m} distinct positive labels"
         )
-    forced = total // k
-    if forced < floor:
-        return FeasibilityResult(
-            feasible=False,
-            per_edge_count=k,
-            required_total=total,
-            required_label_sum=label_sum,
-            reason=(
-                f"forced label sum {forced} is below {floor}, "
-                f"the minimum for {m} distinct positive labels"
-            ),
-        )
-    return FeasibilityResult(
-        feasible=True,
-        per_edge_count=k,
-        required_total=total,
-        required_label_sum=label_sum,
-        reason=f"{k} divides {total}; forced label sum {forced} >= {floor}",
-    )
+    else:
+        feasible, reason = True, f"{k} divides {total}; forced label sum {label_sum} >= {floor}"
+    return FeasibilityResult(feasible, k, total, label_sum, reason)
 
 
 def cycle_feasibility(n: int) -> FeasibilityResult:
@@ -139,6 +125,25 @@ def general_weighted_sum_identity(c: GeodesicCensus) -> tuple[tuple[int, ...], i
     if not c.per_edge:
         raise EmptyGraphError("weighted-sum identity needs at least one edge")
     return c.per_edge, c.total * (c.total + 1) // 2
+
+
+def _common_count(c: GeodesicCensus) -> int | None:
+    """k when every edge lies on the same number k of geodesics, else None."""
+    ks = set(c.per_edge)
+    return ks.pop() if len(ks) == 1 else None
+
+
+def _forced_label_sum(c: GeodesicCensus) -> int | None:
+    """The label sum T/k forced when every edge lies on k geodesics, if k | T."""
+    k = _common_count(c)
+    target = c.total * (c.total + 1) // 2
+    return target // k if k is not None and target % k == 0 else None
+
+
+def _half_floor(label_sum: int, t: int) -> int:
+    """Least weight of either half of an even cycle between antipodal
+    vertices: together they weigh label_sum, and the other weighs at most t."""
+    return label_sum - t
 
 
 def as_even_cycle(g: Graph) -> int | None:
@@ -168,22 +173,20 @@ def max_label_bound(g: Graph, c: GeodesicCensus) -> LabelBound:
     if not c.per_edge:
         raise EmptyGraphError("label bound needs at least one edge")
     k = as_even_cycle(g)
-    if k is not None:
-        through = k * (k + 1) // 2  # geodesics containing a fixed edge
+    s = _forced_label_sum(c)
+    if k is not None and s is not None:
+        through = c.per_edge[0]  # geodesics containing a fixed edge, k(k+1)/2
         avoiders = k  # length-k geodesics avoiding it
-        target = t * (t + 1) // 2
-        if target % through == 0:
-            s = target // through
-            floor_k = s - t  # minimum weight of a length-k geodesic
-            candidates = [min(floor_k, t + 1 - through - avoiders)]
-            if through + avoiders <= t - floor_k + 1 and t + 1 - through > floor_k:
-                candidates.append(t + 1 - through)
-            bound = max(1, min(max(candidates), t))
-            return LabelBound(
-                graph_id=f"cycle:{g.vertex_count}",
-                max_label=bound,
-                argument=BoundArgument.EVEN_CYCLE_COMPLEMENT,
-            )
+        floor_k = _half_floor(s, t)  # minimum weight of a length-k geodesic
+        candidates = [min(floor_k, t + 1 - through - avoiders)]
+        if through + avoiders <= t - floor_k + 1 and t + 1 - through > floor_k:
+            candidates.append(t + 1 - through)
+        bound = max(1, min(max(candidates), t))
+        return LabelBound(
+            graph_id=f"cycle:{g.vertex_count}",
+            max_label=bound,
+            argument=BoundArgument.EVEN_CYCLE_COMPLEMENT,
+        )
     return LabelBound(
         graph_id=f"graph:n={g.vertex_count},m={g.edge_count}",
         max_label=t,

@@ -187,6 +187,8 @@ def enumerate_geodesics(g: Graph) -> list[GeodesicPath]:
     down = [sorted(a, key=lambda p: p[1], reverse=True) for a in g._adj]
     out: list[GeodesicPath] = []
     for u in range(n):
+        if not down[u]:  # no geodesic starts at an isolated vertex
+            continue
         dist = _bfs(g._adj, u)[0]
         buckets: list[list[GeodesicPath]] = [[] for _ in range(n)]
         stack = [(u, ())]
@@ -212,6 +214,8 @@ def count_geodesics(g: Graph) -> int:
     """
     total = 0
     for u in range(g.vertex_count):
+        if not g._adj[u]:  # no geodesic starts at an isolated vertex
+            continue
         dist, order = _bfs(g._adj, u)
         ways = [0] * g.vertex_count
         ways[u] = 1

@@ -25,8 +25,9 @@ Every rule only skips assignments that provably cannot reach a valid leaf,
 or, for symmetry, leaves that an automorphism maps onto one still searched,
 so an exhausted search is a certificate of non-existence within its bounds,
 and disabling rules changes cost but never the outcome. Every leaf is
-checked from scratch against the verdict definition, and every witness is
-re-verified through the classifier before it is returned.
+checked from scratch by _leaf_matches alone, its label sum against the
+forced_label_sum window and its weights against the verdict definition, and
+every witness is re-verified through the classifier before it is returned.
 
 A node is one candidate label for the edge at some depth: a value inside the
 window left after the weight_bound, complement_window and symmetry floors
@@ -44,9 +45,8 @@ the weight set to a mask of the labels that collide once, and to one of the
 labels that collide twice; one AND then rejects every colliding candidate,
 and the loop visits only the survivors, in ascending order. Counts are added
 for each stretch of candidates up to the next survivor, just before the
-search descends into it, so they are exact wherever the search stops. On a
-2-core machine with Python 3.11 the C10 preset (labels up to 31, 5,870,387
-nodes) takes 8 to 9 s at one worker.
+search descends into it, so they are exact wherever the search stops. The C10
+preset (labels up to 31) takes 5,870,387 nodes at one worker.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from typing import Iterator
 
 from .errors import ConfigInvalidError, EmptyGraphError, UnknownPresetError
 from .families import beineke_graphs, parse_family
-from .formulas import as_even_cycle, max_label_bound
+from .formulas import _common_count, _forced_label_sum, _half_floor, as_even_cycle, max_label_bound
 from .graph import Graph, _census_of, enumerate_geodesics, stabilizer_orbits
 from .graphio import _ascii_int, graph6_decode
 from .labeling import Labeling, Verdict, classify, verdict_of
@@ -102,8 +102,9 @@ class SearchConfig:
     max_label defaults to the proven label bound in Leech mode and to t_gp in
     almost mode; a larger value is lowered to t_gp, since each edge is a
     geodesic. forced_label_sum defaults to T/k when every edge lies on the
-    same number k of geodesics and k divides T (Leech mode only); it then
-    restricts the plain label sum exactly.
+    same number k of geodesics and k divides T (Leech mode only). It fixes
+    the plain label sum, as an explicit value does on any graph in Leech
+    mode; in almost mode one needs equal counts k and allows (t-1)//k slack.
     """
 
     mode: Mode = Mode.LEECH
@@ -173,14 +174,13 @@ class _Prepared:
     """Static data shared by every node of one search."""
 
     __slots__ = (
-        "g", "mode", "paths", "t", "m", "order", "k_by_depth",
+        "mode", "paths", "t", "m", "order", "k_by_depth",
         "suffix_gcd", "ks_desc_by_depth", "max_label", "plain_lo", "plain_hi",
         "weighted_lo", "weighted_hi", "forced_sum", "completed_at", "rules",
         "find_all", "time_limit", "node_limit", "leech", "symmetry",
     )
 
     def __init__(self, g: Graph, cfg: SearchConfig, derive_bounds: bool, disabled):
-        self.g = g
         self.mode = cfg.mode
         self.leech = cfg.mode is Mode.LEECH
         self.find_all = cfg.find_all
@@ -193,13 +193,12 @@ class _Prepared:
 
         self.paths = enumerate_geodesics(g)
         c = _census_of(g, self.paths)
-        per_edge = c.per_edge
-        self.t = c.total
+        self.t = t = c.total
         self.m = g.edge_count
 
-        self.order = sorted(range(self.m), key=lambda e: (-per_edge[e], e))
+        self.order = sorted(range(self.m), key=lambda e: (-c.per_edge[e], e))
         pos = {eid: d for d, eid in enumerate(self.order)}
-        self.k_by_depth = [per_edge[eid] for eid in self.order]
+        self.k_by_depth = [c.per_edge[eid] for eid in self.order]
         self.suffix_gcd = [0] * (self.m + 1)
         for d in range(self.m - 1, -1, -1):
             self.suffix_gcd[d] = math.gcd(self.k_by_depth[d], self.suffix_gcd[d + 1])
@@ -207,12 +206,9 @@ class _Prepared:
             tuple(sorted(self.k_by_depth[d:], reverse=True)) for d in range(self.m + 1)
         ]
 
-        t = self.t
         total = t * (t + 1) // 2
-        if self.leech:
-            self.weighted_lo = self.weighted_hi = total
-        else:
-            self.weighted_lo, self.weighted_hi = total - (t - 1), total + (t - 1)
+        slack = 0 if self.leech else t - 1  # how far an almost labeling's weights may sum from T
+        self.weighted_lo, self.weighted_hi = total - slack, total + slack
 
         if cfg.max_label is not None:
             self.max_label = min(cfg.max_label, t)
@@ -221,38 +217,29 @@ class _Prepared:
         else:
             self.max_label = t
 
-        ks = set(per_edge)
         self.forced_sum = cfg.forced_label_sum
-        if self.forced_sum is None and self.leech and derive_bounds and len(ks) == 1:
-            k = ks.pop()
-            if total % k == 0:
-                self.forced_sum = total // k
-        if self.forced_sum is not None:
-            if self.leech:
-                self.plain_lo = self.plain_hi = self.forced_sum
-            else:
-                if len(set(per_edge)) != 1:
-                    raise ConfigInvalidError(
-                        "forced_label_sum in almost mode needs every edge on the "
-                        "same number of geodesics"
-                    )
-                k = per_edge[0]
-                slack = (t - 1) // k
-                self.plain_lo, self.plain_hi = self.forced_sum - slack, self.forced_sum + slack
-        else:
+        if self.forced_sum is None and self.leech and derive_bounds:
+            self.forced_sum = _forced_label_sum(c)
+        if self.forced_sum is None:
             self.plain_lo = self.plain_hi = None
+        elif self.leech:
+            self.plain_lo = self.plain_hi = self.forced_sum
+        else:
+            k = _common_count(c)
+            if k is None:
+                raise ConfigInvalidError(
+                    "forced_label_sum in almost mode needs every edge on the "
+                    "same number of geodesics"
+                )
+            self.plain_lo = self.forced_sum - slack // k
+            self.plain_hi = self.forced_sum + slack // k
 
         # a completed geodesic's weight floor; raised for cycle halves when
         # the complement argument applies
-        half = as_even_cycle(g)
+        half = as_even_cycle(g) if "complement_window" in self.rules else None
         floors = {}
-        if (
-            half is not None
-            and self.leech
-            and self.forced_sum is not None
-            and "complement_window" in self.rules
-        ):
-            floors = {half: self.forced_sum - t}
+        if half and self.leech and self.forced_sum is not None:
+            floors = {half: _half_floor(self.forced_sum, t)}
         grouped: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(self.m)]
         for p in self.paths:
             d = max(pos[eid] for eid in p.edge_ids)
@@ -273,7 +260,10 @@ class _Prepared:
 
 
 def _leaf_matches(prep: _Prepared, labels: list[int]) -> bool:
-    """Authoritative leaf check, independent of which pruning rules ran."""
+    """The one leaf check, whichever rules ran: the label sum window, then the
+    verdict, which implies the weighted sum window (weights sum to sum_e k_e*a_e)."""
+    if prep.plain_lo is not None and not prep.plain_lo <= sum(labels) <= prep.plain_hi:
+        return False
     weights = [sum(labels[e] for e in p.edge_ids) for p in prep.paths]
     return verdict_of(weights, prep.t) is _TARGET[prep.mode]
 
@@ -322,14 +312,8 @@ def _search_single(prep: _Prepared, first_values):
     free = list(range(1, max_label + 1))
 
     def remaining_bounds(depth: int, wsum: int, psum: int) -> bool:
-        """True if the suffix can still hit the sum windows."""
+        """True if the suffix, at least one edge, can still hit the sum windows."""
         rem = m - depth
-        if rem == 0:
-            if not (weighted_lo <= wsum <= weighted_hi):
-                return False
-            if plain_lo is not None and not (plain_lo <= psum <= plain_hi):
-                return False
-            return True
         if check_gcd:
             gcd = suffix_gcd[depth]
             lo = weighted_lo - wsum
@@ -414,13 +398,13 @@ def _search_single(prep: _Prepared, first_values):
         # wmask holds the weights of the completed geodesics and lmask the
         # labels used so far, a bit per value
         nonlocal nodes, distinct, rejected
-        if not remaining_bounds(depth, wsum, psum):
-            return
         if depth == m:
             if _leaf_matches(prep, labels):
                 witnesses.append(Labeling(tuple(labels)))
                 if not prep.find_all:
                     raise _Stop(Status.FOUND)
+            return
+        if not remaining_bounds(depth, wsum, psum):
             return
         eid = order[depth]
         k_d = k_by_depth[depth]

@@ -503,6 +503,24 @@ def test_missing_input_is_usage_error(capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "--family", "cycle:4", "--sum", "-x"],
+        ["search", "--family", "cycle:4", "--bogus"],
+        [],
+        ["tgp", "--family"],
+        ["bogus"],
+    ],
+)
+def test_argparse_error_is_one_usage_line(capsys, argv):
+    # argparse's own errors: a value that looks like a flag, an unknown flag,
+    # a missing subcommand or value, an unknown subcommand
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_missing_file_is_data_error(capsys):
     code, _, err = run(capsys, "tgp", "/nonexistent/graph.el")
     assert code == EXIT_DATA

@@ -1,9 +1,9 @@
-"""Property tests of the outside-text readers and the CLI's number flags.
+"""Property tests of the outside-text readers and the command line.
 
 Every token is at most four characters long, so no edge-list header asks for
 a graph of more than 9,999 vertices and no --range spans more than 10,000
 values. --workers is not fuzzed: every value it accepts starts that many
-processes.
+processes. No file name is drawn.
 """
 
 import contextlib
@@ -95,18 +95,69 @@ def assert_documented(code, err):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
-# flag=value keeps argparse from reading a value that starts with '-' as a flag
+# the values of the number flags, never '-' (stdin) or '--' (after it every
+# token is a positional, that is a file name)
+values = tokens.filter(lambda v: v not in ("-", "--"))
 SEARCH_FLAGS = ("--max-label", "--sum", "--node-limit", "--time-limit")
 
 
 @FUZZ_CLI
-@given(st.dictionaries(st.sampled_from(SEARCH_FLAGS), tokens, min_size=1))
-def test_search_number_flags_exit_as_documented(values):
-    flags = [f"{flag}={value}" for flag, value in values.items()]
+@given(st.dictionaries(st.sampled_from(SEARCH_FLAGS), values, min_size=1))
+def test_search_number_flags_exit_as_documented(flag_values):
+    flags = [token for flag, value in flag_values.items() for token in (flag, value)]
     assert_documented(*run_cli("search", "--family", "cycle:4", "--json", *flags))
 
 
 @FUZZ_CLI
-@given(tokens, tokens)
+@given(values, values)
 def test_feasible_range_exits_as_documented(lo, hi):
-    assert_documented(*run_cli("feasible", "--family", "cycle:n", f"--range={lo}..{hi}"))
+    assert_documented(*run_cli("feasible", "--family", "cycle:n", "--range", f"{lo}..{hi}"))
+
+
+# graphs small enough that any search on them ends at once
+SPECS = ("cycle:3", "cycle:4", "cycle:n", "knn:2", "path:3", "complete:3")
+family = st.sampled_from(SPECS) | values
+number = st.integers(1, 30).map(str) | values
+# the flags of each fuzzed command, with the values of those that take one;
+# --workers is left out, since every value it accepts starts that many
+# processes
+COMMAND_FLAGS = {
+    "tgp": {"--family": family, "--json": None, "--closed-form": None},
+    "search": {
+        "--family": family, "--json": None, "--almost": None, "--all": None,
+        "--seedless": None, "--max-label": number, "--sum": number,
+        "--node-limit": number, "--time-limit": number,
+    },
+    "feasible": {
+        "--family": family, "--json": None,
+        "--range": st.tuples(number, number).map("..".join),
+    },
+}
+UNKNOWN_FLAGS = ("--bogus", "-x", "--Sum", "--max_label", "--verbose")
+
+
+@st.composite
+def argvs(draw):
+    """A command (or none), mostly a --family, then known flags, each value
+    drawn or left out, and now and then an unknown flag. A value always
+    follows its flag, so no token is read as a file name."""
+    command = draw(st.sampled_from((*COMMAND_FLAGS, None)))
+    flags = COMMAND_FLAGS.get(command, {})
+    argv = [] if command is None else [command]
+    if draw(st.integers(0, 5)):
+        argv += ["--family", draw(st.sampled_from(SPECS))]
+    for _ in range(draw(st.integers(0, 4))):
+        if flags and draw(st.integers(0, 5)):
+            flag = draw(st.sampled_from(sorted(flags)))
+        else:
+            flag = draw(st.sampled_from(UNKNOWN_FLAGS))
+        argv.append(flag)
+        if flags.get(flag) is not None and draw(st.integers(0, 5)):
+            argv.append(draw(flags[flag]))
+    return argv
+
+
+@FUZZ_CLI
+@given(argvs())
+def test_cli_argvs_exit_as_documented(argv):
+    assert_documented(*run_cli(*argv))

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 
 import pytest
 
@@ -101,6 +102,15 @@ class TestEnumerateGeodesics:
     def test_empty_and_edgeless_graphs(self):
         assert enumerate_geodesics(build_graph(0, [])) == []
         assert enumerate_geodesics(build_graph(3, [])) == []
+
+    def test_isolated_vertices_cost_nothing(self):
+        # a source without an edge is skipped: a walk from each would take
+        # time quadratic in n
+        start = time.perf_counter()
+        g = Graph(20000, [])
+        assert census(g).total == 0
+        assert count_geodesics(g) == 0
+        assert time.perf_counter() - start < 2.0
 
 
 class TestCensus:

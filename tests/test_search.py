@@ -16,7 +16,8 @@ from leechlab.families import (
     small_connected_catalog,
     wheel,
 )
-from leechlab.graph import build_graph, enumerate_geodesics, stabilizer_orbits
+from leechlab.formulas import max_label_bound
+from leechlab.graph import build_graph, census, enumerate_geodesics, stabilizer_orbits
 from leechlab.graphio import graph6_decode
 from leechlab.labeling import Verdict, classify
 from leechlab.search import (
@@ -288,6 +289,33 @@ class TestDerivedBounds:
         assert (out.max_label, out.forced_label_sum) == (31, 85)
         derived = search(cycle(10), SearchConfig(node_limit=10))
         assert (derived.max_label, derived.forced_label_sum) == (31, 85)
+
+    def test_derived_bounds_follow_the_identity(self):
+        # T/k is the label sum exactly when every edge lies on the same k
+        # geodesics and k divides T = t(t+1)/2
+        graphs = (
+            small_connected_catalog(5)
+            + [cycle(n) for n in range(3, 13)]
+            + [complete_bipartite(n, n) for n in range(1, 5)]
+        )
+        for g in graphs:
+            c = census(g)
+            out = search(g, SearchConfig(node_limit=1))
+            target = c.total * (c.total + 1) // 2
+            ks = set(c.per_edge)
+            k = min(ks)
+            expected = target // k if len(ks) == 1 and target % k == 0 else None
+            assert out.forced_label_sum == expected, g.edges
+            assert out.max_label == max_label_bound(g, c).max_label, g.edges
+
+    def test_explicit_label_sum_on_unequal_counts(self):
+        # prism edges lie on unequal numbers of geodesics, so no sum is
+        # derived; an explicit one must still hold at every leaf
+        found = search(prism(), SearchConfig(forced_label_sum=73))
+        assert (found.status, found.nodes_explored) == (Status.FOUND, 1086)
+        assert sum(found.witnesses[0].labels) == 73
+        none = search(prism(), SearchConfig(forced_label_sum=74))
+        assert (none.status, none.nodes_explored) == (Status.EXHAUSTED_NONE, 135919)
 
     def test_seedless_searches_full_range(self):
         out = search(cycle(4), SearchConfig(node_limit=10), derive_bounds=False)
