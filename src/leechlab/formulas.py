@@ -9,9 +9,9 @@ edge e: summing the weights 1..t path by path must equal summing each label
 once per geodesic it sits on. When every edge lies on the same number k of
 geodesics (edge-transitive case) this pins the label sum to T/k, so k | T is
 necessary. Distinct positive labels add the floor T/k >= m(m+1)/2. The
-search and the CLI take the equal-count test (_common_count), S = T/k
-(_forced_label_sum) and an even cycle's half floor S - t (_half_floor) from
-here alone.
+search and the CLI take T (_weight_total), the equal-count test
+(_common_count), S = T/k (_forced_label_sum) and an even cycle's half floor
+S - t (_half_floor) from here alone.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ def edge_transitive_feasibility(k: int, t: int, m: int) -> FeasibilityResult:
     """Necessary condition when every edge lies on exactly k geodesics."""
     if k < 1 or m < 1 or t < m:
         raise TooSmallError(f"need k >= 1 and t >= m >= 1, got k={k}, t={t}, m={m}")
-    total = t * (t + 1) // 2
+    total = _weight_total(t)
     label_sum = Fraction(total, k)
     floor = m * (m + 1) // 2
     if label_sum.denominator != 1:
@@ -124,7 +124,12 @@ def general_weighted_sum_identity(c: GeodesicCensus) -> tuple[tuple[int, ...], i
     """Coefficients and target of sum_e k_e * a_e = t(t+1)/2 for this census."""
     if not c.per_edge:
         raise EmptyGraphError("weighted-sum identity needs at least one edge")
-    return c.per_edge, c.total * (c.total + 1) // 2
+    return c.per_edge, _weight_total(c.total)
+
+
+def _weight_total(t: int) -> int:
+    """T = t(t+1)/2, the sum of the weights 1..t of a Leech labeling."""
+    return t * (t + 1) // 2
 
 
 def _common_count(c: GeodesicCensus) -> int | None:
@@ -136,7 +141,7 @@ def _common_count(c: GeodesicCensus) -> int | None:
 def _forced_label_sum(c: GeodesicCensus) -> int | None:
     """The label sum T/k forced when every edge lies on k geodesics, if k | T."""
     k = _common_count(c)
-    target = c.total * (c.total + 1) // 2
+    target = _weight_total(c.total)
     return target // k if k is not None and target % k == 0 else None
 
 

@@ -151,13 +151,16 @@ def build_graph(vertex_count: int, edge_list) -> Graph:
 def distances(g: Graph, source: int) -> list:
     """Unweighted shortest-path distances from source; INFINITY if unreachable."""
     g._check_vertex(source)
-    return _bfs(g._adj, source)[0]
+    dist = [INFINITY] * g.vertex_count
+    _bfs(g._adj, source, dist)
+    return dist
 
 
-def _bfs(adj, source: int) -> tuple[list, list[int]]:
-    """Distances from source (INFINITY if unreachable) and the reached
-    vertices in the order BFS reached them, which is by distance."""
-    dist = [INFINITY] * len(adj)
+def _bfs(adj, source: int, dist: list) -> list[int]:
+    """Write the distances from source into dist, which must hold INFINITY at
+    every vertex it reaches, and return those vertices in the order BFS
+    reached them, which is by distance. No other entry changes, so resetting
+    just these readies dist for the next source."""
     dist[source] = 0
     order = [source]
     for x in order:  # the list grows as it is read: it is the BFS queue
@@ -166,7 +169,7 @@ def _bfs(adj, source: int) -> tuple[list, list[int]]:
             if dist[w] == INFINITY:
                 dist[w] = dw
                 order.append(w)
-    return dist, order
+    return order
 
 
 def enumerate_geodesics(g: Graph) -> list[GeodesicPath]:
@@ -180,17 +183,17 @@ def enumerate_geodesics(g: Graph) -> list[GeodesicPath]:
     every geodesic that starts there, each from its parent's tuple. Taking
     the edges out of each vertex by ascending id makes the walk meet the
     paths in lexicographic order of their edge ids; bucketing them by
-    endpoint then gives the sorted order without a sort.
+    endpoint then gives the sorted order without sorting the paths. Each
+    source costs time in proportion to its component, not to n.
     """
-    n = g.vertex_count
     # (neighbor, edge id) pairs by descending edge id: popped ascending
     down = [sorted(a, key=lambda p: p[1], reverse=True) for a in g._adj]
+    dist = [INFINITY] * g.vertex_count
     out: list[GeodesicPath] = []
-    for u in range(n):
-        if not down[u]:  # no geodesic starts at an isolated vertex
-            continue
-        dist = _bfs(g._adj, u)[0]
-        buckets: list[list[GeodesicPath]] = [[] for _ in range(n)]
+    for u in range(g.vertex_count):
+        reached = _bfs(g._adj, u, dist)
+        # a bucket per reached endpoint above u, in ascending order
+        buckets: dict[int, list[GeodesicPath]] = {x: [] for x in sorted(reached) if x > u}
         stack = [(u, ())]
         while stack:
             x, path = stack.pop()
@@ -200,8 +203,10 @@ def enumerate_geodesics(g: Graph) -> list[GeodesicPath]:
             for w, eid in down[x]:
                 if dist[w] == dw:
                     stack.append((w, path + (eid,)))
-        for bucket in buckets[u + 1:]:
+        for bucket in buckets.values():
             out.extend(bucket)
+        for x in reached:
+            dist[x] = INFINITY
     return out
 
 
@@ -213,16 +218,18 @@ def count_geodesics(g: Graph) -> int:
     an independent cross-check of len(enumerate_geodesics(g)).
     """
     total = 0
+    dist = [INFINITY] * g.vertex_count
+    # only entries of reached vertices are read, each after this source wrote it
+    ways = [0] * g.vertex_count
     for u in range(g.vertex_count):
-        if not g._adj[u]:  # no geodesic starts at an isolated vertex
-            continue
-        dist, order = _bfs(g._adj, u)
-        ways = [0] * g.vertex_count
+        order = _bfs(g._adj, u, dist)
         ways[u] = 1
         for v in order[1:]:
             up = dist[v] - 1
             ways[v] = sum(ways[w] for w, _ in g._adj[v] if dist[w] == up)
         total += sum(ways[v] for v in order if v > u)
+        for v in order:
+            dist[v] = INFINITY
     return total
 
 

@@ -6,8 +6,10 @@ per-edge geodesic count, ties by edge id), and prunes with:
   distinct_label      labels must be pairwise distinct in Leech mode
   sum_bound           the running weighted sum sum_e k_e*a_e must still be
                       able to land on T = t(t+1)/2 (Leech) or inside the
-                      window [T-t+1, T+t-1] (almost); bounds pair large
-                      coefficients with small respectively large labels
+                      window [T-t+1, T+t-1] (almost); fixed bounds per depth
+                      pair the coefficients left, largest first, with labels
+                      1, 2, ... and max_label, max_label-1, ... (Leech), or
+                      with all 1 and all max_label (almost)
   sum_divisibility    the residue of the outstanding weighted sum must be
                       reachable with the remaining coefficients' gcd
   weight_bound        a completed geodesic may not weigh more than t
@@ -46,7 +48,7 @@ labels that collide twice; one AND then rejects every colliding candidate,
 and the loop visits only the survivors, in ascending order. Counts are added
 for each stretch of candidates up to the next survivor, just before the
 search descends into it, so they are exact wherever the search stops. The C10
-preset (labels up to 31) takes 5,870,387 nodes at one worker.
+preset (labels up to 31) takes 6,054,843 nodes at one worker.
 """
 
 from __future__ import annotations
@@ -54,14 +56,13 @@ from __future__ import annotations
 import enum
 import math
 import time
-from bisect import bisect_left, insort
 from dataclasses import dataclass, replace
 from operator import mul
 from typing import Iterator
 
 from .errors import ConfigInvalidError, EmptyGraphError, UnknownPresetError
 from .families import beineke_graphs, parse_family
-from .formulas import _common_count, _forced_label_sum, _half_floor, as_even_cycle, max_label_bound
+from .formulas import _common_count, _forced_label_sum, _half_floor, _weight_total, as_even_cycle, max_label_bound
 from .graph import Graph, _census_of, enumerate_geodesics, stabilizer_orbits
 from .graphio import _ascii_int, graph6_decode
 from .labeling import Labeling, Verdict, classify, verdict_of
@@ -175,7 +176,7 @@ class _Prepared:
 
     __slots__ = (
         "mode", "paths", "t", "m", "order", "k_by_depth",
-        "suffix_gcd", "ks_desc_by_depth", "max_label", "plain_lo", "plain_hi",
+        "suffix_gcd", "suffix_sums", "max_label", "plain_lo", "plain_hi",
         "weighted_lo", "weighted_hi", "forced_sum", "completed_at", "rules",
         "find_all", "time_limit", "node_limit", "leech", "symmetry",
     )
@@ -202,11 +203,8 @@ class _Prepared:
         self.suffix_gcd = [0] * (self.m + 1)
         for d in range(self.m - 1, -1, -1):
             self.suffix_gcd[d] = math.gcd(self.k_by_depth[d], self.suffix_gcd[d + 1])
-        self.ks_desc_by_depth = [
-            tuple(sorted(self.k_by_depth[d:], reverse=True)) for d in range(self.m + 1)
-        ]
 
-        total = t * (t + 1) // 2
+        total = _weight_total(t)
         slack = 0 if self.leech else t - 1  # how far an almost labeling's weights may sum from T
         self.weighted_lo, self.weighted_hi = total - slack, total + slack
 
@@ -216,6 +214,21 @@ class _Prepared:
             self.max_label = max_label_bound(g, c).max_label
         else:
             self.max_label = t
+
+        # per depth d, the least and greatest sum_e k_e*a_e and sum_e a_e that
+        # the edges order[d:] can still add: their coefficients, in descending
+        # order, meet the labels 1, 2, 3, ... and max_label, max_label - 1, ...
+        # where labels are distinct (Leech mode), all 1 and all max_label else;
+        # a range shorter than the edges left has no Leech labeling to lose
+        small = range(1, self.m + 1) if self.leech else [1] * self.m
+        large = range(self.max_label, 0, -1) if self.leech else [self.max_label] * self.m
+        self.suffix_sums = []
+        for d in range(self.m):
+            ks = sorted(self.k_by_depth[d:], reverse=True)
+            self.suffix_sums.append((
+                sum(map(mul, ks, small)), sum(map(mul, ks, large)),
+                sum(small[:len(ks)]), sum(large[:len(ks)]),
+            ))
 
         self.forced_sum = cfg.forced_label_sum
         if self.forced_sum is None and self.leech and derive_bounds:
@@ -304,16 +317,10 @@ def _search_single(prep: _Prepared, first_values):
     weighted_lo, weighted_hi = prep.weighted_lo, prep.weighted_hi
     plain_lo, plain_hi = prep.plain_lo, prep.plain_hi
     suffix_gcd = prep.suffix_gcd
-    ks_desc = prep.ks_desc_by_depth
-    # the common coefficient of each suffix, 0 where they differ
-    uniform_k = [ks[0] if ks and ks[0] == ks[-1] else 0 for ks in ks_desc]
-    # the unused labels in ascending order, kept up to date by descend
-    track_free = leech and check_sum
-    free = list(range(1, max_label + 1))
+    suffix_sums = prep.suffix_sums
 
     def remaining_bounds(depth: int, wsum: int, psum: int) -> bool:
         """True if the suffix, at least one edge, can still hit the sum windows."""
-        rem = m - depth
         if check_gcd:
             gcd = suffix_gcd[depth]
             lo = weighted_lo - wsum
@@ -322,29 +329,10 @@ def _search_single(prep: _Prepared, first_values):
                 return False
         if not check_sum:
             return True
-        if leech:
-            if len(free) < rem:
-                stats["sum_bound"] += 1
-                return False
-            asc, desc = free[:rem], free[-rem:]
-            low, high = sum(asc), sum(desc)
-            k = uniform_k[depth]
-            if k:
-                wmin, wmax = wsum + k * low, wsum + k * high
-            else:
-                ks = ks_desc[depth]
-                wmin = wsum + sum(map(mul, ks, asc))
-                wmax = wsum + sum(map(mul, ks, reversed(desc)))
-            pmin, pmax = psum + low, psum + high
-        else:
-            ks = ks_desc[depth]
-            wmin = wsum + sum(ks)
-            wmax = wsum + max_label * sum(ks)
-            pmin, pmax = psum + rem, psum + rem * max_label
-        if wmin > weighted_hi or wmax < weighted_lo:
-            stats["sum_bound"] += 1
-            return False
-        if plain_lo is not None and (pmin > plain_hi or pmax < plain_lo):
+        wmin, wmax, pmin, pmax = suffix_sums[depth]
+        if wsum + wmin > weighted_hi or wsum + wmax < weighted_lo or (
+            plain_lo is not None and (psum + pmin > plain_hi or psum + pmax < plain_lo)
+        ):
             stats["sum_bound"] += 1
             return False
         return True
@@ -474,15 +462,10 @@ def _search_single(prep: _Prepared, first_values):
                 break
             v = low.bit_length() - 1
             labels[eid] = v
-            fresh = track_free and not lmask & low
-            if fresh:
-                del free[bisect_left(free, v)]
             descend(
                 depth + 1, wsum + k_d * v, psum + v, dups + (any_hit >> v & 1),
                 wmask | (basebits << v) & tmask, lmask | low,
             )
-            if fresh:
-                insort(free, v)
 
     status = Status.EXHAUSTED_NONE
     try:

@@ -526,6 +526,26 @@ def test_missing_file_is_data_error(capsys):
     assert code == EXIT_DATA
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tgp", "{dir}"],
+        ["verify", "{dir}", "{dir}"],
+        ["verify", "{graph}", "{dir}"],
+        ["search", "{dir}"],
+        ["census", "{dir}"],
+    ],
+)
+def test_directory_is_data_error(capsys, tmp_path, argv):
+    # any OSError on an input path, not only a missing file
+    graph = tmp_path / "g.el"
+    graph.write_text("2 1\n0 1\n")
+    argv = [a.format(dir=tmp_path, graph=graph) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_DATA, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_non_ascii_edge_list_is_data_error(capsys, tmp_path):
     f = tmp_path / "g.el"
     f.write_bytes(b"2 1\n0 1 # caf\xe9\n")

@@ -104,13 +104,23 @@ class TestEnumerateGeodesics:
         assert enumerate_geodesics(build_graph(3, [])) == []
 
     def test_isolated_vertices_cost_nothing(self):
-        # a source without an edge is skipped: a walk from each would take
-        # time quadratic in n
+        # each source costs time in proportion to its component: an n-long
+        # pass from each would take time quadratic in n
         start = time.perf_counter()
         g = Graph(20000, [])
         assert census(g).total == 0
         assert count_geodesics(g) == 0
         assert time.perf_counter() - start < 2.0
+
+    @pytest.mark.parametrize(
+        "total", [lambda g: census(g).total, count_geodesics], ids=["census", "count"]
+    )
+    def test_many_components_cost_linear_time(self, total):
+        # n/2 disjoint edges: 0.85 s at n = 2,000 when each source paid for n
+        g = Graph(8000, [(2 * i, 2 * i + 1) for i in range(4000)])
+        start = time.perf_counter()
+        assert total(g) == 4000
+        assert time.perf_counter() - start < 1.0
 
 
 class TestCensus:

@@ -144,6 +144,26 @@ class TestPruningNeutrality:
         relaxed = search(g, SearchConfig(mode=mode), disabled_rules=(rule,))
         assert relaxed.status is baseline.status
 
+    def test_sum_bound_keeps_every_witness(self):
+        # find_all on every catalog graph with at most 5 edges, both modes,
+        # plus a Leech run whose explicit label sum is 3 above the least
+        runs = cuts = 0
+        for g in small_connected_catalog():
+            m = g.edge_count
+            if m > 5:
+                continue
+            cfgs = [SearchConfig(mode=mode, find_all=True) for mode in Mode]
+            cfgs.append(SearchConfig(find_all=True, forced_label_sum=m * (m + 1) // 2 + 3))
+            for cfg in cfgs:
+                bounded = search(g, cfg)
+                free = search(g, cfg, disabled_rules=("sum_bound",))
+                assert {w.labels for w in bounded.witnesses} == {
+                    w.labels for w in free.witnesses
+                }, (g.edges, cfg)
+                runs += 1
+                cuts += bounded.pruning_stats.get("sum_bound", 0)
+        assert runs == 48 and cuts > 0
+
     def test_unknown_rule_rejected(self):
         with pytest.raises(ConfigInvalidError, match="unknown pruning rules"):
             search(cycle(4), disabled_rules=("warp_drive",))
@@ -315,7 +335,7 @@ class TestDerivedBounds:
         assert (found.status, found.nodes_explored) == (Status.FOUND, 1086)
         assert sum(found.witnesses[0].labels) == 73
         none = search(prism(), SearchConfig(forced_label_sum=74))
-        assert (none.status, none.nodes_explored) == (Status.EXHAUSTED_NONE, 135919)
+        assert (none.status, none.nodes_explored) == (Status.EXHAUSTED_NONE, 138315)
 
     def test_seedless_searches_full_range(self):
         out = search(cycle(4), SearchConfig(node_limit=10), derive_bounds=False)
@@ -329,7 +349,7 @@ class TestDerivedBounds:
     @pytest.mark.parametrize("mode", list(Mode))
     def test_max_label_above_t_is_lowered_to_t(self, mode):
         # a label above t would be the weight of its own one-edge geodesic;
-        # the free-label list is sized by the effective bound, not the asked one
+        # the per-depth sum bounds use the effective bound, not the asked one
         at_t = search(cycle(3), SearchConfig(mode=mode, max_label=3))
         above = search(cycle(3), SearchConfig(mode=mode, max_label=10**6))
         assert above.max_label == 3

@@ -2,7 +2,9 @@
 
 Each line records one search's status, node count, pruning counts (in key
 order) and witnesses, so a rewrite of the backtracking kernel must reproduce
-every count exactly, under FOUND and NODE_LIMIT stops included. Print the
+every count exactly, under FOUND and NODE_LIMIT stops included. Outcomes
+(status, witnesses) are checked before costs (nodes, pruning), so a change
+that re-pins costs shows apart from one that changes an outcome. Print the
 current transcript with `PYTHONPATH=src python tests/test_search_golden.py`.
 """
 
@@ -24,6 +26,8 @@ from leechlab.search import ALL_RULES, Mode, SearchConfig, search
 
 GOLDEN = Path(__file__).with_name("search_golden.jsonl")
 NODE_LIMIT = 20000
+OUTCOMES = ("status", "witnesses")
+COSTS = ("nodes", "pruning")
 
 
 def _named_graphs():
@@ -71,8 +75,26 @@ def transcript() -> str:
     return "\n".join(out) + "\n"
 
 
+def _first_difference(got, want, fields) -> str | None:
+    """The first run whose fields differ from the golden, by graph, mode,
+    disabled rules and field; fields compare as JSON text, so exactly."""
+    if len(got) != len(want):
+        return f"{len(got)} runs, golden has {len(want)}"
+    for g, w in zip(got, want):
+        for field in ("graph", "mode", "off", "workers") + fields:
+            if json.dumps(g[field]) != json.dumps(w[field]):
+                return (
+                    f"{w['graph']} {w['mode']} off={w['off']} workers={w['workers']}: "
+                    f"{field} {json.dumps(g[field])}, golden {json.dumps(w[field])}"
+                )
+    return None
+
+
 def test_search_outcomes_match_golden():
-    assert transcript() == GOLDEN.read_text()
+    got = [json.loads(line) for line in transcript().splitlines()]
+    want = [json.loads(line) for line in GOLDEN.read_text().splitlines()]
+    assert _first_difference(got, want, OUTCOMES) is None
+    assert _first_difference(got, want, COSTS) is None
 
 
 if __name__ == "__main__":
