@@ -23,6 +23,7 @@ can assert results directly:
   64  usage or configuration error, argparse's own errors included
   65  unreadable or malformed input data
   70  closed-form cross-check mismatch
+  74  output could not be written (stdout's reader closed the pipe)
 
 Graph sources are files (edge-list text, or .g6 for graph6) or --family
 specs from families.FAMILIES: cycle:N, path:N, complete:N, knn:N, kmn:MxN,
@@ -68,6 +69,7 @@ EXIT_NODE_LIMIT = 41
 EXIT_USAGE = 64
 EXIT_DATA = 65
 EXIT_MISMATCH = 70
+EXIT_IO = 74
 
 _VERDICT_EXIT = {
     Verdict.GEODESIC_LEECH: EXIT_LEECH,
@@ -447,7 +449,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError as exc:
+        # a failed write, not bad input: stdout's reader closed the pipe
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -1,7 +1,8 @@
 """Exhaustive backtracking search for geodesic Leech and almost labelings.
 
-The solver assigns labels edge by edge, most-constrained edge first (largest
-per-edge geodesic count, ties by edge id), and prunes with:
+The solver assigns labels edge by edge, in a fail-first order: largest
+per-edge geodesic count first, ties by the geodesics the edge completes with
+the edges before it (most first), then by edge id. It prunes with:
 
   distinct_label      labels must be pairwise distinct in Leech mode
   sum_bound           the running weighted sum sum_e k_e*a_e must still be
@@ -197,7 +198,27 @@ class _Prepared:
         self.t = t = c.total
         self.m = g.edge_count
 
-        self.order = sorted(range(self.m), key=lambda e: (-c.per_edge[e], e))
+        # fail-first order: most geodesics through the edge (k) first, ties
+        # by the geodesics it completes with the edges already placed, then
+        # by id. Each geodesic keeps its set of unplaced edges and counts for
+        # the last one (a one-edge geodesic counts for none: it breaks no tie)
+        unplaced = [set(p.edge_ids) for p in self.paths]
+        through: list[list[set[int]]] = [[] for _ in range(self.m)]
+        for edges in unplaced:
+            for eid in edges:
+                through[eid].append(edges)
+        completes = [0] * self.m
+        left = set(range(self.m))
+        self.order = []
+        while left:
+            eid = min(left, key=lambda e: (-c.per_edge[e], -completes[e], e))
+            left.remove(eid)
+            self.order.append(eid)
+            for edges in through[eid]:
+                edges.remove(eid)
+                if len(edges) == 1:
+                    (last,) = edges
+                    completes[last] += 1
         pos = {eid: d for d, eid in enumerate(self.order)}
         self.k_by_depth = [c.per_edge[eid] for eid in self.order]
         self.suffix_gcd = [0] * (self.m + 1)

@@ -8,6 +8,7 @@ from leechlab.cli import (
     EXIT_ALMOST,
     EXIT_DATA,
     EXIT_EXHAUSTED,
+    EXIT_IO,
     EXIT_LEECH,
     EXIT_NEITHER,
     EXIT_NOT_APPLICABLE,
@@ -233,22 +234,23 @@ class TestSearch:
 
     def test_pruning_key_order_is_the_same_at_two_workers(self):
         # the merged stats must not take their order from the string hash
-        # seed of the process; on W5 the same six rules fire at one worker
-        # and at two, so the whole key lists compare
+        # seed of the process: at two workers the key lists under two seeds
+        # agree, and each is in ALL_RULES order
         import os
         import subprocess
         import sys
         from pathlib import Path
 
         import leechlab
+        from leechlab.search import ALL_RULES
 
-        def pruning_keys(workers, seed):
+        def pruning_keys(seed):
             env = {
                 **os.environ,
                 "PYTHONHASHSEED": str(seed),
                 "PYTHONPATH": str(Path(leechlab.__file__).parents[1]),
             }
-            argv = ["search", "--family", "wheel:5", "--workers", str(workers), "--json"]
+            argv = ["search", "--family", "wheel:5", "--workers", "2", "--json"]
             proc = subprocess.run(
                 [sys.executable, "-m", "leechlab.cli", *argv],
                 env=env, capture_output=True, text=True, check=False,
@@ -256,10 +258,10 @@ class TestSearch:
             assert proc.returncode == EXIT_LEECH, proc.stderr
             return list(json.loads(proc.stdout)["pruning"])
 
-        single = pruning_keys(1, 1)
-        assert len(single) > 1
-        assert pruning_keys(2, 1) == single
-        assert pruning_keys(2, 2) == single
+        keys = pruning_keys(1)
+        assert len(keys) > 1
+        assert pruning_keys(2) == keys
+        assert keys == [rule for rule in ALL_RULES if rule in keys]
 
     def test_file_source(self, capsys, tmp_path):
         f = tmp_path / "triangle.el"
@@ -330,6 +332,33 @@ class TestCensus:
         rows = [json.loads(line) for line in out.strip().splitlines()]
         assert [r.get("verdict") for r in rows[:-1]] == ["leech", "error", "leech"]
         assert rows[-1]["summary"]["error"] == 1
+
+    def test_closed_stdout_pipe_is_a_write_error(self, tmp_path):
+        # a reader that has closed the pipe is a failed write (74), not bad
+        # input (65), and ends with one error line: no traceback, and no
+        # "Exception ignored" from the flush at shutdown
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import leechlab
+
+        f = tmp_path / "two.g6"
+        f.write_text("A_\nBw\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(leechlab.__file__).parents[1])}
+        code = f"import sys; from leechlab.cli import main; sys.exit(main(['census', {str(f)!r}]))"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c", code],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, check=False,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == EXIT_IO
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
     def test_workers_preserve_order(self, capsys, tmp_path):
         from leechlab.graphio import graph6_encode
