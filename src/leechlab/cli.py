@@ -23,7 +23,8 @@ can assert results directly:
   64  usage or configuration error, argparse's own errors included
   65  unreadable or malformed input data
   70  closed-form cross-check mismatch
-  74  output could not be written (stdout's reader closed the pipe)
+  74  output could not be written (a closed pipe, a full disk: any OSError
+      outside the reading of input)
 
 Graph sources are files (edge-list text, or .g6 for graph6) or --family
 specs from families.FAMILIES: cycle:N, path:N, complete:N, knn:N, kmn:MxN,
@@ -98,6 +99,14 @@ class _CliError(Exception):
         self.code = code
 
 
+def _read(load, path):
+    """load(path); an OSError is unreadable input, as main takes any other for a failed write."""
+    try:
+        return load(path)
+    except OSError as exc:
+        raise _CliError(str(exc), EXIT_DATA) from None
+
+
 def _resolve_graph(args, inputs: list[str]) -> tuple[Graph, Family | None, tuple]:
     if args.family:
         if inputs:
@@ -105,7 +114,7 @@ def _resolve_graph(args, inputs: list[str]) -> tuple[Graph, Family | None, tuple
         return parse_family(args.family)
     if not inputs:
         raise _CliError("a graph file or --family spec is required", EXIT_USAGE)
-    return load_graph(inputs[0]), None, ()
+    return _read(load_graph, inputs[0]), None, ()
 
 
 def _emit(payload: dict, as_json: bool, text_lines: list[str]) -> None:
@@ -170,7 +179,7 @@ def cmd_verify(args) -> int:
     if len(args.inputs) != (1 if args.family else 2):
         raise _CliError("usage: verify {GRAPH_FILE | --family SPEC} LABELING_FILE", EXIT_USAGE)
     g = _resolve_graph(args, args.inputs[:-1])[0]
-    lab = load_labeling(args.inputs[-1])
+    lab = _read(load_labeling, args.inputs[-1])
     report = classify(g, lab)
     lines = [
         f"verdict: {report.verdict.value}",
@@ -316,17 +325,19 @@ def cmd_feasible(args) -> int:
     return EXIT_LEECH if res.feasible else EXIT_NEITHER
 
 
-def cmd_census(args) -> int:
-    if not args.inputs:
-        raise _CliError("census needs a graph6 file ('-' for stdin)", EXIT_USAGE)
-    path = args.inputs[0]
+def _corpus_text(path: str) -> str:
     if path == "-":
         # strict ASCII, as for a file; a text-only stdin is held to it too
         stdin = getattr(sys.stdin, "buffer", None)
-        text = (stdin.read() if stdin is not None else sys.stdin.read().encode()).decode("ascii")
-    else:
-        with open(path, "r", encoding="ascii") as fh:
-            text = fh.read()
+        return (stdin.read() if stdin is not None else sys.stdin.read().encode()).decode("ascii")
+    with open(path, "r", encoding="ascii") as fh:
+        return fh.read()
+
+
+def cmd_census(args) -> int:
+    if not args.inputs:
+        raise _CliError("census needs a graph6 file ('-' for stdin)", EXIT_USAGE)
+    text = _read(_corpus_text, args.inputs[0])
     rows = census_corpus(
         [line for _, line in _data_lines(text.splitlines())],
         time_limit=args.time_limit,
@@ -424,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-label", type=_count("--max-label"), default=None, help="largest label to try (default: proven bound)")
     p.add_argument("--sum", type=_count("--sum"), default=None, help="force the label sum (default: derived when valid)")
     p.add_argument("--time-limit", type=_seconds, default=None, help="wall-clock limit in seconds")
-    p.add_argument("--node-limit", type=_count("--node-limit"), default=None, help="stop at this many nodes (candidate labels tried); at --workers above 1 the limit applies to each worker")
+    p.add_argument("--node-limit", type=_count("--node-limit"), default=None, help="stop at this many nodes (candidate labels tried), across all workers")
     p.add_argument("--all", action="store_true", help="collect every witness instead of stopping at the first")
     _add_workers(p)
     p.add_argument("--seedless", action="store_true", help="do not derive bounds from counting arguments; search labels up to t_gp")
@@ -452,19 +463,20 @@ def main(argv=None) -> int:
         code = args.fn(args)
         sys.stdout.flush()
         return code
-    except BrokenPipeError as exc:
-        # a failed write, not bad input: stdout's reader closed the pipe
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (LeechLabError, OSError, UnicodeDecodeError) as exc:
+    except (LeechLabError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except OSError as exc:
+        # every read reports its own (_read), so this is a failed write or
+        # flush of stdout: a closed pipe, a full disk
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

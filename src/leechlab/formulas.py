@@ -81,7 +81,6 @@ class BoundArgument(enum.Enum):
 class LabelBound:
     """Upper bound on any label a geodesic Leech labeling may use."""
 
-    graph_id: str
     max_label: int
     argument: BoundArgument
 
@@ -187,13 +186,5 @@ def max_label_bound(g: Graph, c: GeodesicCensus) -> LabelBound:
         if through + avoiders <= t - floor_k + 1 and t + 1 - through > floor_k:
             candidates.append(t + 1 - through)
         bound = max(1, min(max(candidates), t))
-        return LabelBound(
-            graph_id=f"cycle:{g.vertex_count}",
-            max_label=bound,
-            argument=BoundArgument.EVEN_CYCLE_COMPLEMENT,
-        )
-    return LabelBound(
-        graph_id=f"graph:n={g.vertex_count},m={g.edge_count}",
-        max_label=t,
-        argument=BoundArgument.SINGLE_EDGE_GEODESIC,
-    )
+        return LabelBound(bound, BoundArgument.EVEN_CYCLE_COMPLEMENT)
+    return LabelBound(t, BoundArgument.SINGLE_EDGE_GEODESIC)

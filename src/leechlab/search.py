@@ -34,12 +34,12 @@ every witness is re-verified through the classifier before it is returned.
 
 A node is one candidate label for the edge at some depth: a value inside the
 window left after the weight_bound, complement_window and symmetry floors
-(and, at workers > 1, inside the worker's share of first labels) that
-distinct_label does not reject. It counts whether or not its weights then
-collide (weight_duplicate), and node_limit stops the search at its N-th
-node. At workers > 1 the count is the sum over the workers' chunks, each run
-to its own end, and node_limit applies to each chunk on its own, so a
-limited search may explore up to workers * node_limit nodes.
+that distinct_label does not reject. It counts whether or not its weights
+then collide (weight_duplicate), and node_limit stops the search at its N-th
+node. At workers > 1 each first label is one job, handed in ascending order
+to whichever worker is idle; the jobs share one node budget and one
+deadline, and unless find_all is set, a job stops once a smaller first label
+has found a witness, so the witness is the one a single worker finds first.
 
 The kernel keeps the used weights (bits 1..t) and the used labels as int
 bitsets and passes new ones down to each child, so nothing is undone on the
@@ -79,6 +79,7 @@ ALL_RULES = (
 )
 
 _TIME_CHECK_MASK = 0xFFF
+_BLOCK = 4096  # nodes a parallel job takes from the shared budget at a time
 
 
 class Mode(enum.Enum):
@@ -124,9 +125,10 @@ class SearchOutcome:
     nodes_explored counts candidate labels inside each depth's window (after
     the weight_bound, complement_window and symmetry floors) that
     distinct_label lets through, whether or not their weights then collide;
-    at workers > 1 it sums over the workers' chunks, and node_limit applies
-    to each chunk, so a NODE_LIMIT outcome may report up to workers *
-    node_limit nodes. max_label is the bound the search used, at most t_gp.
+    at workers > 1 it sums over the first-label jobs, and it is at most
+    node_limit at every worker count. Unlimited searches return the same
+    status and witnesses at every worker count, and exhausted ones the same
+    nodes_explored. max_label is the bound the search used, at most t_gp.
     pruning_stats holds the rules that cut anything, in ALL_RULES order.
     """
 
@@ -142,8 +144,29 @@ class SearchOutcome:
 
 
 class _Stop(Exception):
-    def __init__(self, status: Status):
-        self.status = status
+    def __init__(self, status: Status | None):
+        self.status = status  # None: a job with a smaller first label found a witness
+
+
+class _Shared:
+    """What the first-label jobs of one parallel search share across
+    processes: its _Prepared, the least first label that has found a witness,
+    the nodes left of node_limit, and the deadline."""
+
+    def __init__(self, prep: _Prepared):
+        from multiprocessing import Value
+
+        self.prep = prep
+        self.found = Value("i", prep.max_label + 1)
+        self.budget = Value("q", prep.node_limit or 0)
+        self.deadline = None if prep.time_limit is None else time.monotonic() + prep.time_limit
+
+    def take(self, n: int) -> int:
+        """Take up to n nodes from the budget (-n: give them back)."""
+        with self.budget.get_lock():
+            n = min(n, self.budget.value)
+            self.budget.value -= n
+        return n
 
 
 def _validate_limits(time_limit, node_limit, workers: int) -> None:
@@ -302,9 +325,11 @@ def _leaf_matches(prep: _Prepared, labels: list[int]) -> bool:
     return verdict_of(weights, prep.t) is _TARGET[prep.mode]
 
 
-def _search_single(prep: _Prepared, first_values):
+def _search_single(prep: _Prepared, first_values, shared: _Shared | None = None):
     """Depth-first search with the first edge's labels among first_values;
-    returns (status, witnesses, nodes, stats)."""
+    returns (status, witnesses, nodes, stats). A job of a parallel search
+    passes one first label and the search's _Shared, and its status is None
+    if it stopped because a smaller first label found a witness."""
     m, t = prep.m, prep.t
     order = prep.order
     k_by_depth = prep.k_by_depth
@@ -334,6 +359,11 @@ def _search_single(prep: _Prepared, first_values):
     nodes = distinct = rejected = 0
     deadline = None if prep.time_limit is None else time.monotonic() + prep.time_limit
     node_limit = prep.node_limit
+    if shared is not None:
+        (first,) = first_values
+        deadline = shared.deadline
+        if node_limit is not None:  # now the nodes this job holds
+            node_limit = shared.take(_BLOCK)
 
     weighted_lo, weighted_hi = prep.weighted_lo, prep.weighted_hi
     plain_lo, plain_hi = prep.plain_lo, prep.plain_hi
@@ -361,7 +391,7 @@ def _search_single(prep: _Prepared, first_values):
     def next_check() -> float:
         """The node count at which the next limit or time check falls due."""
         due = math.inf if node_limit is None else node_limit
-        if deadline is not None:
+        if deadline is not None or shared is not None:
             due = min(due, (nodes | _TIME_CHECK_MASK) + 1)
         return due
 
@@ -369,7 +399,7 @@ def _search_single(prep: _Prepared, first_values):
 
     def count_singly(chunk: int, taken: int, bad: int) -> None:
         """Count the candidates of chunk one at a time, checking the limits."""
-        nonlocal nodes, due, distinct, rejected
+        nonlocal nodes, due, distinct, rejected, node_limit
         while chunk:
             low = chunk & -chunk
             chunk ^= low
@@ -378,10 +408,15 @@ def _search_single(prep: _Prepared, first_values):
                 continue
             nodes += 1
             if node_limit is not None and nodes >= node_limit:
-                raise _Stop(Status.NODE_LIMIT)
-            if deadline is not None and nodes & _TIME_CHECK_MASK == 0:
-                if time.monotonic() > deadline:
+                if shared is not None:
+                    node_limit += shared.take(_BLOCK)
+                if nodes >= node_limit:
+                    raise _Stop(Status.NODE_LIMIT)
+            if nodes & _TIME_CHECK_MASK == 0:
+                if deadline is not None and time.monotonic() > deadline:
                     raise _Stop(Status.TIMED_OUT)
+                if shared is not None and shared.found.value < first:
+                    raise _Stop(None)
             if low & bad:
                 rejected += 1
         due = next_check()
@@ -490,11 +525,25 @@ def _search_single(prep: _Prepared, first_values):
 
     status = Status.EXHAUSTED_NONE
     try:
+        if shared is not None:
+            # a job that starts after the search has stopped ends at once
+            if shared.found.value < first:
+                raise _Stop(None)
+            if node_limit == 0:
+                raise _Stop(Status.NODE_LIMIT)
+            if deadline is not None and time.monotonic() > deadline:
+                raise _Stop(Status.TIMED_OUT)
         descend(0, 0, 0, 0, 0, 0)
         if witnesses:
             status = Status.FOUND
     except _Stop as stop:
         status = stop.status
+    if shared is not None:
+        if status is Status.FOUND and not prep.find_all:
+            with shared.found.get_lock():
+                shared.found.value = min(shared.found.value, first)
+        if node_limit is not None:
+            shared.take(nodes - node_limit)
     stats["distinct_label"] += distinct
     stats["weight_duplicate"] += rejected
     return status, witnesses, nodes, stats
@@ -511,9 +560,17 @@ def _verify_witnesses(g: Graph, mode: Mode, witnesses) -> None:
             )
 
 
-def _search_chunk(args):
-    prep, chunk = args
-    return _search_single(prep, first_values=chunk)
+_shared = None  # in the pool's workers, the _Shared of their search
+
+
+def _start_worker(shared: _Shared) -> None:
+    global _shared
+    _shared = shared
+
+
+def _search_first(v: int):
+    """One job of a parallel search: the subtree under first label v."""
+    return _search_single(_shared.prep, (v,), _shared)
 
 
 def search(
@@ -526,10 +583,9 @@ def search(
 ) -> SearchOutcome:
     """Run the labeling search and return its outcome.
 
-    workers > 1 splits the first edge's candidate labels across processes;
-    node counts then aggregate over workers, and the limits apply to each
-    worker's chunk, so a NODE_LIMIT search may explore up to workers *
-    node_limit nodes; without limits the status is identical to a
+    workers > 1 runs one job per first label, in ascending order, in a pool
+    of processes; node counts sum over the jobs, and the limits apply to the
+    whole search. Without limits the status and witnesses are those of a
     single-worker run. workers < 1 raises ConfigInvalidError. find_all
     returns the witnesses sorted by labels, and FOUND only if no limit cut
     the list short. derive_bounds=False skips deriving max_label and
@@ -541,18 +597,24 @@ def search(
     _validate(g, cfg, workers)
     start = time.monotonic()
     prep = _Prepared(g, cfg, derive_bounds, disabled_rules)
-    # worker i takes the first labels i+1, i+1+workers, ...; one worker
-    # takes them all, in this process
+    # one worker takes every first label, in this process; more take one
+    # job per label, in ascending order, as each goes idle
     values = range(1, prep.max_label + 1)
-    jobs = [(prep, values[i::workers]) for i in range(min(workers, len(values)))]
-    results = list(_pool_map(_search_chunk, jobs, len(jobs)))
-    witnesses = sorted({w for _, ws, _, _ in results for w in ws}, key=lambda w: w.labels)
-    if not cfg.find_all:
-        witnesses = witnesses[:1]
+    workers = min(workers, len(values))
+    if workers == 1:
+        results = [_search_single(prep, values)]
+    else:
+        results = list(_pool_map(_search_first, values, workers, _start_worker, (_Shared(prep),)))
+    if cfg.find_all:
+        witnesses = sorted({w for _, ws, _, _ in results for w in ws}, key=lambda w: w.labels)
+    else:
+        # the least first label's witness, the one a single worker finds
+        witnesses = next((ws for _, ws, _, _ in results if ws), [])
     nodes = sum(n for _, _, n, _ in results)
     stats = {rule: sum(r[3][rule] for r in results) for rule in ALL_RULES}
     statuses = {r[0] for r in results}
-    # a limit outranks the witnesses of find_all, whose list it cut short
+    # a limit outranks the witnesses of find_all, whose list it cut short; a
+    # job stopped by a smaller label's witness (None) lands in the first case
     if witnesses and not cfg.find_all:
         status = Status.FOUND
     elif Status.TIMED_OUT in statuses:
@@ -696,13 +758,14 @@ def census_corpus(
     return _pool_map(_corpus_row, jobs, workers)
 
 
-def _pool_map(fn, jobs, workers: int) -> Iterator:
+def _pool_map(fn, jobs, workers: int, initializer=None, initargs=()) -> Iterator:
     """fn over jobs, results in input order: in this process at one worker,
-    else in a pool of workers processes."""
+    else in a pool of workers processes, each started with
+    initializer(*initargs) and handed one job at a time."""
     if workers == 1:
         yield from map(fn, jobs)
         return
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(workers, initializer=initializer, initargs=initargs) as pool:
         yield from pool.map(fn, jobs)

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, formats, round trips."""
 
 import json
+import os
 
 import pytest
 
@@ -235,7 +236,9 @@ class TestSearch:
     def test_pruning_key_order_is_the_same_at_two_workers(self):
         # the merged stats must not take their order from the string hash
         # seed of the process: at two workers the key lists under two seeds
-        # agree, and each is in ALL_RULES order
+        # agree, and each is in ALL_RULES order. The search is an exhausted
+        # one (the prism has no witness of label sum 74), whose counts, unlike
+        # those of a search that finds a witness, are the same in every run
         import os
         import subprocess
         import sys
@@ -250,12 +253,12 @@ class TestSearch:
                 "PYTHONHASHSEED": str(seed),
                 "PYTHONPATH": str(Path(leechlab.__file__).parents[1]),
             }
-            argv = ["search", "--family", "wheel:5", "--workers", "2", "--json"]
+            argv = ["search", "--family", "prism", "--sum", "74", "--workers", "2", "--json"]
             proc = subprocess.run(
                 [sys.executable, "-m", "leechlab.cli", *argv],
                 env=env, capture_output=True, text=True, check=False,
             )
-            assert proc.returncode == EXIT_LEECH, proc.stderr
+            assert proc.returncode == EXIT_EXHAUSTED, proc.stderr
             return list(json.loads(proc.stdout)["pruning"])
 
         keys = pruning_keys(1)
@@ -357,6 +360,26 @@ class TestCensus:
             )
         finally:
             os.close(write_end)
+        assert proc.returncode == EXIT_IO
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_disk_is_a_write_error(self):
+        # every write to /dev/full fails with ENOSPC: a failed write (74), not
+        # bad input (65), in one error line
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import leechlab
+
+        env = {**os.environ, "PYTHONPATH": str(Path(leechlab.__file__).parents[1])}
+        code = "import sys; from leechlab.cli import main; sys.exit(main(['tgp', '--family', 'cycle:5', '--json']))"
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-c", code],
+                stdout=full, stderr=subprocess.PIPE, env=env, text=True, check=False,
+            )
         assert proc.returncode == EXIT_IO
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 

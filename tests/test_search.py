@@ -27,6 +27,8 @@ from leechlab.search import (
     SearchConfig,
     Status,
     _Prepared,
+    _search_single,
+    _Shared,
     census_corpus,
     search,
     search_family_presets,
@@ -202,10 +204,64 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_limit_cutting_find_all_short_is_the_status(self, workers):
-        # C4 has 8 witnesses in 120 nodes; 10 nodes per chunk finds some
+        # C4 has 8 witnesses in 120 nodes. The first job to take from the
+        # budget, first label 1 or 2, takes all 10 nodes and finds a witness
+        # at its 7th node and no other; the other jobs find the budget spent
         out = search(cycle(4), SearchConfig(find_all=True, node_limit=10), workers=workers)
         assert out.status is Status.NODE_LIMIT
         assert 0 < len(out.witnesses) < 8
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize(
+        "name,make,mode",
+        [
+            ("C3", lambda: cycle(3), Mode.LEECH),
+            ("C4", lambda: cycle(4), Mode.LEECH),
+            ("K4", lambda: complete(4), Mode.LEECH),
+            ("prism", prism, Mode.LEECH),
+            ("W5", lambda: wheel(5), Mode.LEECH),
+            ("W6", lambda: wheel(6), Mode.LEECH),
+            ("W7", lambda: wheel(7), Mode.ALMOST),
+            ("P4", lambda: path(4), Mode.ALMOST),
+        ],
+    )
+    def test_workers_return_the_single_worker_witness(self, name, make, mode, workers):
+        # jobs with larger first labels stop once a smaller one has a witness,
+        # so the witness is the first one in single-worker search order
+        one = search(make(), SearchConfig(mode=mode))
+        many = search(make(), SearchConfig(mode=mode), workers=workers)
+        assert one.status is Status.FOUND
+        assert (many.status, many.witnesses) == (one.status, one.witnesses)
+
+    def test_prism_stops_early_at_two_workers(self):
+        # one worker finds the prism's witness at node 1,086; a job running
+        # beside it sees the witness at its next check, every 4,096 nodes.
+        # Without the early stop, first label 2 ran on to 17,246 more nodes
+        counts = [search(prism(), workers=2).nodes_explored for _ in range(5)]
+        assert min(counts) <= 1086 + 4096
+
+    def test_job_stops_at_its_first_check_after_a_smaller_label_finds(self):
+        prep = _Prepared(prism(), SearchConfig(), True, ())
+        shared = _Shared(prep)
+        # first label 2 alone finds a witness after more than 4,096 nodes
+        status, witnesses, nodes, _ = _search_single(prep, (2,), shared)
+        assert status is Status.FOUND and nodes > 4096
+        assert shared.found.value == 2
+        # a job that starts after a smaller label found one is skipped
+        assert _search_single(prep, (3,), shared)[0::2] == (None, 0)
+
+        class FoundAfterStart:
+            # the record as a job reads it: empty at its start, then label 1
+            reads = 0
+
+            @property
+            def value(self):
+                self.reads += 1
+                return prep.max_label + 1 if self.reads == 1 else 1
+
+        shared.found = FoundAfterStart()
+        status, witnesses, nodes, _ = _search_single(prep, (2,), shared)
+        assert (status, witnesses, nodes) == (None, [], 4096)
 
     def test_one_worker_starts_no_pool(self):
         import subprocess
@@ -245,12 +301,44 @@ class TestLimits:
         assert out.status is Status.NODE_LIMIT
         assert out.nodes_explored == 5000
 
-    def test_node_limit_applies_per_worker(self):
-        # each worker's chunk of first labels gets the whole limit
-        workers, limit = 2, 5000
-        out = search(cycle(10), SearchConfig(max_label=31, node_limit=limit), workers=workers)
+    def test_node_limit_applies_per_search(self):
+        # the jobs of a parallel search share one budget
+        limit = 5000
+        for workers in (1, 2, 3):
+            out = search(cycle(10), SearchConfig(max_label=31, node_limit=limit), workers=workers)
+            assert out.status is Status.NODE_LIMIT
+            assert out.nodes_explored <= limit
+            if workers == 1:
+                assert out.nodes_explored == limit
+
+    def test_budget_goes_out_in_blocks_and_comes_back(self):
+        prep = _Prepared(cycle(10), SearchConfig(max_label=31, node_limit=10000), True, ())
+        shared = _Shared(prep)
+        # first label 31 has a small subtree and returns the rest of its block
+        status, _, nodes, _ = _search_single(prep, (31,), shared)
+        assert status is Status.EXHAUSTED_NONE and 0 < nodes < 4096
+        assert shared.budget.value == 10000 - nodes
+        # first label 1 takes blocks of 4,096 until the budget is spent
+        status, _, more, _ = _search_single(prep, (1,), shared)
+        assert (status, more, shared.budget.value) == (Status.NODE_LIMIT, 10000 - nodes, 0)
+        # a job that finds the budget spent stops before its first node
+        assert _search_single(prep, (2,), shared)[0::2] == (Status.NODE_LIMIT, 0)
+
+    def test_shared_budget_under_more_workers_than_cores(self):
+        # four processes draw on one budget; a lost update would let the
+        # search run past it
+        limit = 50000
+        start = time.monotonic()
+        out = search(cycle(10), SearchConfig(max_label=31, node_limit=limit), workers=4)
         assert out.status is Status.NODE_LIMIT
-        assert limit < out.nodes_explored <= workers * limit
+        assert 0 < out.nodes_explored <= limit
+        assert time.monotonic() - start < 30
+
+    def test_time_limit_is_one_deadline_per_search(self):
+        # 31 first-label jobs; a deadline per job would run past the limit
+        out = search(cycle(10), SearchConfig(max_label=31, time_limit=0.3), workers=2)
+        assert out.status is Status.TIMED_OUT
+        assert out.elapsed < 1.5
 
     @pytest.mark.parametrize(
         "g,cfg,disabled",
