@@ -3,13 +3,15 @@
 A geodesic is a path whose length equals the distance between its endpoints;
 single edges are geodesics of length 1, single vertices are not geodesics.
 Enumeration is the ground truth every closed-form count in this package is
-checked against, so it is deliberately simple: per-source BFS followed by one
-depth-first walk forward down the BFS layers of that source.
+checked against, so it is deliberately simple, and _walk alone does it: per
+source, a BFS, then one depth-first walk down the BFS layers that makes each
+geodesic a node of a path trie. Paths, census and weights are read off it.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import (
@@ -172,41 +174,51 @@ def _bfs(adj, source: int, dist: list) -> list[int]:
     return order
 
 
+def _walk(g: Graph):
+    """Yield (u, trie) for each source u: the geodesics from u, as a trie.
+
+    trie[0] = (u, -1, -1, 0) is the empty path; each later node (x, parent,
+    eid, length) is node parent extended by edge eid to x. Each step goes one
+    BFS layer of u further, so every path walked is a geodesic; taking edges
+    by ascending id walks them in lexicographic order. The nodes with x > u
+    are g's geodesics, each once. A source costs time in its component only.
+    """
+    # (neighbor, edge id) pairs by descending edge id: popped ascending
+    down = [sorted(a, key=lambda p: p[1], reverse=True) for a in g._adj]
+    dist = [INFINITY] * g.vertex_count
+    for u in range(g.vertex_count):
+        reached = _bfs(g._adj, u, dist)
+        trie, stack = [], [(u, -1, -1, 0)]
+        while stack:
+            x, _, _, length = node = stack.pop()
+            i, dw = len(trie), length + 1
+            trie.append(node)
+            for w, eid in down[x]:
+                if dist[w] == dw:
+                    stack.append((w, i, eid, dw))
+        yield u, trie
+        for x in reached:
+            dist[x] = INFINITY
+
+
 def enumerate_geodesics(g: Graph) -> list[GeodesicPath]:
     """Every geodesic of every unordered reachable vertex pair, exactly once.
 
     Paths start at the smaller endpoint; output is sorted by
     (min endpoint, max endpoint, edge-id sequence) and is deterministic.
-
-    Every path from u that steps one BFS layer of u further at each edge is
-    a geodesic, so one depth-first walk forward from each source u builds
-    every geodesic that starts there, each from its parent's tuple. Taking
-    the edges out of each vertex by ascending id makes the walk meet the
-    paths in lexicographic order of their edge ids; bucketing them by
-    endpoint then gives the sorted order without sorting the paths. Each
-    source costs time in proportion to its component, not to n.
     """
-    # (neighbor, edge id) pairs by descending edge id: popped ascending
-    down = [sorted(a, key=lambda p: p[1], reverse=True) for a in g._adj]
-    dist = [INFINITY] * g.vertex_count
+    return _paths_of(_walk(g))
+
+
+def _paths_of(tries) -> list[GeodesicPath]:
+    """The walk's geodesics as paths, sorted by a stable sort on endpoints."""
     out: list[GeodesicPath] = []
-    for u in range(g.vertex_count):
-        reached = _bfs(g._adj, u, dist)
-        # a bucket per reached endpoint above u, in ascending order
-        buckets: dict[int, list[GeodesicPath]] = {x: [] for x in sorted(reached) if x > u}
-        stack = [(u, ())]
-        while stack:
-            x, path = stack.pop()
-            if x > u:
-                buckets[x].append(GeodesicPath((u, x), path))
-            dw = dist[x] + 1
-            for w, eid in down[x]:
-                if dist[w] == dw:
-                    stack.append((w, path + (eid,)))
-        for bucket in buckets.values():
-            out.extend(bucket)
-        for x in reached:
-            dist[x] = INFINITY
+    for u, trie in tries:
+        paths = [()]
+        for _, p, eid, _ in trie[1:]:
+            paths.append(paths[p] + (eid,))
+        found = [GeodesicPath((u, x), path) for (x, *_), path in zip(trie, paths) if x > u]
+        out += sorted(found, key=lambda p: p.endpoints[1])
     return out
 
 
@@ -346,25 +358,25 @@ def _automorphism(nbrs, colors, src, dst) -> list[int] | None:
 
 
 def census(g: Graph) -> GeodesicCensus:
-    """Full geodesic census built from explicit enumeration."""
-    return _census_of(g, enumerate_geodesics(g))
+    """Full geodesic census, read off the geodesic walk."""
+    return _census_of(g, _walk(g))
 
 
-def _census_of(g: Graph, paths: list[GeodesicPath]) -> GeodesicCensus:
-    """Census of g from its already enumerated geodesics.
-
-    The diameter is the longest geodesic: every connected pair at distance d
-    has a geodesic of length d.
+def _census_of(g: Graph, tries) -> GeodesicCensus:
+    """Census of g from its walk. k_e sums, over the trie nodes whose last
+    edge is e, the geodesics at or below them (one pass back from the last
+    node, each adding its count to its parent's); the longest is a diameter.
     """
-    by_length: dict[int, int] = {}
     per_edge = [0] * g.edge_count
-    for p in paths:
-        by_length[p.length] = by_length.get(p.length, 0) + 1
-        for eid in p.edge_ids:
-            per_edge[eid] += 1
-    return GeodesicCensus(
-        total=len(paths),
-        by_length=by_length,
-        per_edge=tuple(per_edge),
-        diameter=max(by_length, default=0),
-    )
+    lengths: Counter[int] = Counter()
+    for u, trie in tries:
+        below = [x > u for x, *_ in trie]
+        lengths.update(length for x, _, _, length in trie if x > u)
+        for i in range(len(trie) - 1, 0, -1):
+            if below[i]:
+                _, p, eid, _ = trie[i]
+                per_edge[eid] += below[i]
+                below[p] += below[i]
+    by_length = dict(sorted(lengths.items()))
+    total, diameter = sum(by_length.values()), max(by_length, default=0)
+    return GeodesicCensus(total, by_length, tuple(per_edge), diameter)

@@ -12,7 +12,7 @@ from .errors import (
     LabelCountMismatchError,
     NonPositiveLabelError,
 )
-from .graph import GeodesicPath, Graph, enumerate_geodesics
+from .graph import GeodesicPath, Graph, _walk
 
 
 class Verdict(enum.Enum):
@@ -100,27 +100,27 @@ def classify(g: Graph, lab: Labeling | Sequence[int]) -> ClassificationReport:
     The verdict is verdict_of the geodesic weights; the report adds the
     missing, duplicated and overshooting values behind it.
 
-    t_gp is always recomputed from enumeration, never from closed forms, so
-    the classifier stays correct on arbitrary input graphs.
+    t_gp is always recomputed by enumeration (graph._walk), never from
+    closed forms, so the classifier stays correct on arbitrary input graphs.
     """
     lab = as_labeling(lab)
     if len(lab.labels) != g.edge_count:
         raise LabelCountMismatchError(
             f"labeling has {len(lab.labels)} labels but graph has {g.edge_count} edges"
         )
-    paths = enumerate_geodesics(g)
-    t_gp = len(paths)
+    # each trie node weighs its parent's weight plus its last edge's label;
     # the label count matches g.edge_count, so every edge id indexes a label
-    weights = sorted(sum(map(lab.labels.__getitem__, p.edge_ids)) for p in paths)
+    weights: list[int] = []
+    for u, trie in _walk(g):
+        node_weights = [0]
+        for _, p, eid, _ in trie[1:]:
+            node_weights.append(node_weights[p] + lab.labels[eid])
+        weights += [w for w, (x, *_) in zip(node_weights, trie) if x > u]
+    weights.sort()
+    t_gp = len(weights)
     counts = Counter(weights)
     missing = tuple(v for v in range(1, t_gp + 1) if v not in counts)
     duplicates = tuple((v, c) for v, c in sorted(counts.items()) if c > 1)
     overshoot = tuple(sorted(v for v in counts if v > t_gp))
-    return ClassificationReport(
-        verdict=verdict_of(weights, t_gp),
-        t_gp=t_gp,
-        weight_multiset=tuple(weights),
-        missing=missing,
-        duplicates=duplicates,
-        overshoot=overshoot,
-    )
+    verdict = verdict_of(weights, t_gp)
+    return ClassificationReport(verdict, t_gp, tuple(weights), missing, duplicates, overshoot)

@@ -64,7 +64,7 @@ from typing import Iterator
 from .errors import ConfigInvalidError, EmptyGraphError, UnknownPresetError
 from .families import beineke_graphs, parse_family
 from .formulas import _common_count, _forced_label_sum, _half_floor, _weight_total, as_even_cycle, max_label_bound
-from .graph import Graph, _census_of, enumerate_geodesics, stabilizer_orbits
+from .graph import Graph, _census_of, _paths_of, _walk, stabilizer_orbits
 from .graphio import _ascii_int, graph6_decode
 from .labeling import Labeling, Verdict, classify, verdict_of
 
@@ -128,8 +128,8 @@ class SearchOutcome:
     at workers > 1 it sums over the first-label jobs, and it is at most
     node_limit at every worker count. Unlimited searches return the same
     status and witnesses at every worker count, and exhausted ones the same
-    nodes_explored. max_label is the bound the search used, at most t_gp.
-    pruning_stats holds the rules that cut anything, in ALL_RULES order.
+    nodes_explored and pruning_stats (the rules that cut anything, in
+    ALL_RULES order). max_label is the bound the search used, at most t_gp.
     """
 
     status: Status
@@ -216,8 +216,9 @@ class _Prepared:
         if unknown:
             raise ConfigInvalidError(f"unknown pruning rules: {sorted(unknown)}")
 
-        self.paths = enumerate_geodesics(g)
-        c = _census_of(g, self.paths)
+        tries = list(_walk(g))  # one walk for the paths and the census
+        self.paths = _paths_of(tries)
+        c = _census_of(g, tries)
         self.t = t = c.total
         self.m = g.edge_count
 
@@ -597,13 +598,13 @@ def search(
     _validate(g, cfg, workers)
     start = time.monotonic()
     prep = _Prepared(g, cfg, derive_bounds, disabled_rules)
-    # one worker takes every first label, in this process; more take one
-    # job per label, in ascending order, as each goes idle
+    # one worker takes every first label, in this process; more take one job
+    # per label as each goes idle, unless the root's sum bounds, the same for
+    # every label, cut it: a search with no first label tests them once
     values = range(1, prep.max_label + 1)
     workers = min(workers, len(values))
-    if workers == 1:
-        results = [_search_single(prep, values)]
-    else:
+    results = [_search_single(prep, values if workers == 1 else ())]
+    if workers > 1 and not results[0][3]["sum_bound"] + results[0][3]["sum_divisibility"]:
         results = list(_pool_map(_search_first, values, workers, _start_worker, (_Shared(prep),)))
     if cfg.find_all:
         witnesses = sorted({w for _, ws, _, _ in results for w in ws}, key=lambda w: w.labels)

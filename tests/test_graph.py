@@ -3,6 +3,7 @@
 import math
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -17,6 +18,7 @@ from leechlab.graph import (
     distances,
     enumerate_geodesics,
 )
+from leechlab.labeling import classify
 
 
 def triangle():
@@ -113,7 +115,13 @@ class TestEnumerateGeodesics:
         assert time.perf_counter() - start < 2.0
 
     @pytest.mark.parametrize(
-        "total", [lambda g: census(g).total, count_geodesics], ids=["census", "count"]
+        "total",
+        [
+            lambda g: census(g).total,
+            count_geodesics,
+            lambda g: classify(g, range(1, g.edge_count + 1)).t_gp,
+        ],
+        ids=["census", "count", "classify"],
     )
     def test_many_components_cost_linear_time(self, total):
         # n/2 disjoint edges: 0.85 s at n = 2,000 when each source paid for n
@@ -216,7 +224,9 @@ class TestRandomGraphOracle:
 
 def test_enumeration_matches_networkx_on_the_graph_atlas():
     """Every graph of at most 7 vertices: the geodesics are exactly
-    networkx's shortest paths between connected pairs, once each, sorted."""
+    networkx's shortest paths between connected pairs, once each, sorted;
+    and the census and the classifier's weights, for labels 1..m and that
+    labeling rotated by one, are those recomputed from networkx's paths."""
     nx = pytest.importorskip("networkx")
     atlas = nx.graph_atlas_g()
     assert len(atlas) == 1253
@@ -227,12 +237,25 @@ def test_enumeration_matches_networkx_on_the_graph_atlas():
         assert got == sorted(got), g.edges
         assert len(set(got)) == len(got), g.edges
         expected = set()
+        diameter = 0
         for u in h:
-            for v in nx.single_source_shortest_path_length(h, u):
+            for v, d in nx.single_source_shortest_path_length(h, u).items():
+                diameter = max(diameter, d)
                 if v > u:
                     for walk in nx.all_shortest_paths(h, u, v):
                         expected.add(((u, v), tuple(map(g.edge_id, walk, walk[1:]))))
         assert set(got) == expected, g.edges
+
+        c = census(g)
+        per_edge = Counter(eid for _, eids in expected for eid in eids)
+        assert c.total == len(expected), g.edges
+        assert c.by_length == dict(Counter(len(eids) for _, eids in expected)), g.edges
+        assert c.per_edge == tuple(per_edge[eid] for eid in range(g.edge_count)), g.edges
+        assert c.diameter == diameter, g.edges
+        plain = list(range(1, g.edge_count + 1))
+        for labels in (plain, plain[1:] + plain[:1]):
+            weights = sorted(sum(labels[eid] for eid in eids) for _, eids in expected)
+            assert classify(g, labels).weight_multiset == tuple(weights), (g.edges, labels)
 
 
 def test_graph_is_picklable():

@@ -1,5 +1,6 @@
 """Backtracking search: statuses, oracle equivalence, pruning neutrality."""
 
+import importlib
 import itertools
 import time
 from dataclasses import replace
@@ -232,6 +233,33 @@ class TestDeterminism:
         many = search(make(), SearchConfig(mode=mode), workers=workers)
         assert one.status is Status.FOUND
         assert (many.status, many.witnesses) == (one.status, one.witnesses)
+
+    @pytest.mark.parametrize(
+        "make,cfg",
+        [(lambda n=n: cycle(n), SearchConfig()) for n in range(5, 10)]
+        + [
+            (lambda: complete_bipartite(3, 3), SearchConfig()),
+            (lambda: cycle(10), SearchConfig(max_label=13)),
+            (prism, SearchConfig(forced_label_sum=74)),
+        ],
+        ids=["C5", "C6", "C7", "C8", "C9", "K33", "C10-13", "prism-74"],
+    )
+    def test_exhausted_search_costs_the_same_at_every_worker_count(self, make, cfg):
+        # C5-C9 and K3,3 are cut at the root by the sum bounds, which count
+        # once however many jobs there would be; the last two search a tree
+        outs = [search(make(), cfg, workers=w) for w in (1, 2, 3)]
+        assert {o.status for o in outs} == {Status.EXHAUSTED_NONE}
+        assert len({o.nodes_explored for o in outs}) == 1
+        assert all(o.pruning_stats == outs[0].pruning_stats for o in outs)
+
+    def test_root_cut_starts_no_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool started")
+
+        # the package's search function hides its module of the same name
+        monkeypatch.setattr(importlib.import_module("leechlab.search"), "_pool_map", no_pool)
+        out = search(cycle(7), workers=2)
+        assert (out.nodes_explored, out.pruning_stats) == (0, {"sum_divisibility": 1})
 
     def test_prism_stops_early_at_two_workers(self):
         # one worker finds the prism's witness at node 1,086; a job running
