@@ -393,14 +393,14 @@ def _seconds(text: str) -> float:
         raise _CliError(f"--time-limit takes a number of seconds, got {text!r}", EXIT_USAGE) from None
 
 
-def _add_workers(p) -> None:
+def _add_workers(p, note: str = "") -> None:
     # argparse converts a string default only for the command that runs and
     # after --help has had its turn, so a bad LEECHLAB_WORKERS fails search
     # and census alone
     p.add_argument(
         "--workers", type=_count("--workers (or LEECHLAB_WORKERS)"),
         default=os.environ.get("LEECHLAB_WORKERS") or "1",
-        help="parallel workers (default from LEECHLAB_WORKERS, else 1)",
+        help="parallel workers (default from LEECHLAB_WORKERS, else 1)" + note,
     )
 
 
@@ -435,9 +435,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-label", type=_count("--max-label"), default=None, help="largest label to try (default: proven bound)")
     p.add_argument("--sum", type=_count("--sum"), default=None, help="force the label sum (default: derived when valid)")
     p.add_argument("--time-limit", type=_seconds, default=None, help="wall-clock limit in seconds")
-    p.add_argument("--node-limit", type=_count("--node-limit"), default=None, help="stop at this many nodes (candidate labels tried), across all workers")
+    p.add_argument("--node-limit", type=_count("--node-limit"), default=None, help="stop at this many nodes (candidate labels tried), counted in search order at one worker")
     p.add_argument("--all", action="store_true", help="collect every witness instead of stopping at the first")
-    _add_workers(p)
+    _add_workers(p, "; a search with --node-limit runs at one worker")
     p.add_argument("--seedless", action="store_true", help="do not derive bounds from counting arguments; search labels up to t_gp")
     p.set_defaults(fn=cmd_search)
 

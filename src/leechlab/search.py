@@ -35,11 +35,12 @@ every witness is re-verified through the classifier before it is returned.
 A node is one candidate label for the edge at some depth: a value inside the
 window left after the weight_bound, complement_window and symmetry floors
 that distinct_label does not reject. It counts whether or not its weights
-then collide (weight_duplicate), and node_limit stops the search at its N-th
-node. At workers > 1 each first label is one job, handed in ascending order
-to whichever worker is idle; the jobs share one node budget and one
-deadline, and unless find_all is set, a job stops once a smaller first label
-has found a witness, so the witness is the one a single worker finds first.
+then collide (weight_duplicate). node_limit stops the search at its N-th node
+in search order, so such a search runs at one worker. Otherwise each first
+label is one job at workers > 1, handed in ascending order to whichever
+worker is idle; the jobs share one deadline, and unless find_all is set, a
+job stops once a smaller first label has found a witness, so the witness is
+the one a single worker finds first.
 
 The kernel keeps the used weights (bits 1..t) and the used labels as int
 bitsets and passes new ones down to each child, so nothing is undone on the
@@ -79,7 +80,6 @@ ALL_RULES = (
 )
 
 _TIME_CHECK_MASK = 0xFFF
-_BLOCK = 4096  # nodes a parallel job takes from the shared budget at a time
 
 
 class Mode(enum.Enum):
@@ -125,9 +125,10 @@ class SearchOutcome:
     nodes_explored counts candidate labels inside each depth's window (after
     the weight_bound, complement_window and symmetry floors) that
     distinct_label lets through, whether or not their weights then collide;
-    at workers > 1 it sums over the first-label jobs, and it is at most
-    node_limit at every worker count. Unlimited searches return the same
-    status and witnesses at every worker count, and exhausted ones the same
+    at workers > 1 it sums over the first-label jobs. A search with a
+    node_limit runs at one worker, so its outcome, elapsed aside, is the same
+    at every worker count. Unlimited searches return the same status and
+    witnesses at every worker count, and exhausted ones the same
     nodes_explored and pruning_stats (the rules that cut anything, in
     ALL_RULES order). max_label is the bound the search used, at most t_gp.
     """
@@ -146,27 +147,6 @@ class SearchOutcome:
 class _Stop(Exception):
     def __init__(self, status: Status | None):
         self.status = status  # None: a job with a smaller first label found a witness
-
-
-class _Shared:
-    """What the first-label jobs of one parallel search share across
-    processes: its _Prepared, the least first label that has found a witness,
-    the nodes left of node_limit, and the deadline."""
-
-    def __init__(self, prep: _Prepared):
-        from multiprocessing import Value
-
-        self.prep = prep
-        self.found = Value("i", prep.max_label + 1)
-        self.budget = Value("q", prep.node_limit or 0)
-        self.deadline = None if prep.time_limit is None else time.monotonic() + prep.time_limit
-
-    def take(self, n: int) -> int:
-        """Take up to n nodes from the budget (-n: give them back)."""
-        with self.budget.get_lock():
-            n = min(n, self.budget.value)
-            self.budget.value -= n
-        return n
 
 
 def _validate_limits(time_limit, node_limit, workers: int) -> None:
@@ -196,20 +176,19 @@ def _validate(g: Graph, cfg: SearchConfig, workers: int) -> None:
 
 
 class _Prepared:
-    """Static data shared by every node of one search."""
+    """Static data shared by every node of one search, and its deadline."""
 
     __slots__ = (
         "mode", "paths", "t", "m", "order", "k_by_depth",
         "suffix_gcd", "suffix_sums", "max_label", "plain_lo", "plain_hi",
         "weighted_lo", "weighted_hi", "forced_sum", "completed_at", "rules",
-        "find_all", "time_limit", "node_limit", "leech", "symmetry",
+        "find_all", "deadline", "node_limit", "leech", "symmetry",
     )
 
     def __init__(self, g: Graph, cfg: SearchConfig, derive_bounds: bool, disabled):
         self.mode = cfg.mode
         self.leech = cfg.mode is Mode.LEECH
         self.find_all = cfg.find_all
-        self.time_limit = cfg.time_limit
         self.node_limit = cfg.node_limit
         self.rules = frozenset(ALL_RULES) - frozenset(disabled)
         unknown = frozenset(disabled) - frozenset(ALL_RULES)
@@ -315,6 +294,7 @@ class _Prepared:
                     if b != self.order[d]:
                         floors[pos[b]].append(self.order[d])
         self.symmetry = [tuple(f) for f in floors]
+        self.deadline = None if cfg.time_limit is None else time.monotonic() + cfg.time_limit
 
 
 def _leaf_matches(prep: _Prepared, labels: list[int]) -> bool:
@@ -326,11 +306,11 @@ def _leaf_matches(prep: _Prepared, labels: list[int]) -> bool:
     return verdict_of(weights, prep.t) is _TARGET[prep.mode]
 
 
-def _search_single(prep: _Prepared, first_values, shared: _Shared | None = None):
+def _search_single(prep: _Prepared, first_values, found=None):
     """Depth-first search with the first edge's labels among first_values;
     returns (status, witnesses, nodes, stats). A job of a parallel search
-    passes one first label and the search's _Shared, and its status is None
-    if it stopped because a smaller first label found a witness."""
+    passes one first label and found, the shared least first label with a
+    witness, and its status is None if a smaller label's witness stopped it."""
     m, t = prep.m, prep.t
     order = prep.order
     k_by_depth = prep.k_by_depth
@@ -358,13 +338,8 @@ def _search_single(prep: _Prepared, first_values, shared: _Shared | None = None)
     symmetry = prep.symmetry
     witnesses: list[Labeling] = []
     nodes = distinct = rejected = 0
-    deadline = None if prep.time_limit is None else time.monotonic() + prep.time_limit
-    node_limit = prep.node_limit
-    if shared is not None:
-        (first,) = first_values
-        deadline = shared.deadline
-        if node_limit is not None:  # now the nodes this job holds
-            node_limit = shared.take(_BLOCK)
+    deadline, node_limit = prep.deadline, prep.node_limit
+    first = first_values[0] if found is not None else None
 
     weighted_lo, weighted_hi = prep.weighted_lo, prep.weighted_hi
     plain_lo, plain_hi = prep.plain_lo, prep.plain_hi
@@ -376,7 +351,7 @@ def _search_single(prep: _Prepared, first_values, shared: _Shared | None = None)
         if check_gcd:
             gcd = suffix_gcd[depth]
             lo = weighted_lo - wsum
-            if gcd > 0 and (lo + gcd - 1) // gcd * gcd > weighted_hi - wsum:
+            if (lo + gcd - 1) // gcd * gcd > weighted_hi - wsum:
                 stats["sum_divisibility"] += 1
                 return False
         if not check_sum:
@@ -392,7 +367,7 @@ def _search_single(prep: _Prepared, first_values, shared: _Shared | None = None)
     def next_check() -> float:
         """The node count at which the next limit or time check falls due."""
         due = math.inf if node_limit is None else node_limit
-        if deadline is not None or shared is not None:
+        if deadline is not None or found is not None:
             due = min(due, (nodes | _TIME_CHECK_MASK) + 1)
         return due
 
@@ -400,7 +375,7 @@ def _search_single(prep: _Prepared, first_values, shared: _Shared | None = None)
 
     def count_singly(chunk: int, taken: int, bad: int) -> None:
         """Count the candidates of chunk one at a time, checking the limits."""
-        nonlocal nodes, due, distinct, rejected, node_limit
+        nonlocal nodes, due, distinct, rejected
         while chunk:
             low = chunk & -chunk
             chunk ^= low
@@ -408,15 +383,12 @@ def _search_single(prep: _Prepared, first_values, shared: _Shared | None = None)
                 distinct += 1
                 continue
             nodes += 1
-            if node_limit is not None and nodes >= node_limit:
-                if shared is not None:
-                    node_limit += shared.take(_BLOCK)
-                if nodes >= node_limit:
-                    raise _Stop(Status.NODE_LIMIT)
+            if nodes == node_limit:
+                raise _Stop(Status.NODE_LIMIT)
             if nodes & _TIME_CHECK_MASK == 0:
                 if deadline is not None and time.monotonic() > deadline:
                     raise _Stop(Status.TIMED_OUT)
-                if shared is not None and shared.found.value < first:
+                if found is not None and found.value < first:
                     raise _Stop(None)
             if low & bad:
                 rejected += 1
@@ -526,25 +498,19 @@ def _search_single(prep: _Prepared, first_values, shared: _Shared | None = None)
 
     status = Status.EXHAUSTED_NONE
     try:
-        if shared is not None:
-            # a job that starts after the search has stopped ends at once
-            if shared.found.value < first:
-                raise _Stop(None)
-            if node_limit == 0:
-                raise _Stop(Status.NODE_LIMIT)
-            if deadline is not None and time.monotonic() > deadline:
-                raise _Stop(Status.TIMED_OUT)
+        # a job that starts after the search has stopped ends at once
+        if found is not None and found.value < first:
+            raise _Stop(None)
+        if deadline is not None and time.monotonic() > deadline:
+            raise _Stop(Status.TIMED_OUT)
         descend(0, 0, 0, 0, 0, 0)
         if witnesses:
             status = Status.FOUND
     except _Stop as stop:
         status = stop.status
-    if shared is not None:
-        if status is Status.FOUND and not prep.find_all:
-            with shared.found.get_lock():
-                shared.found.value = min(shared.found.value, first)
-        if node_limit is not None:
-            shared.take(nodes - node_limit)
+    if found is not None and status is Status.FOUND and not prep.find_all:
+        with found.get_lock():
+            found.value = min(found.value, first)
     stats["distinct_label"] += distinct
     stats["weight_duplicate"] += rejected
     return status, witnesses, nodes, stats
@@ -561,17 +527,18 @@ def _verify_witnesses(g: Graph, mode: Mode, witnesses) -> None:
             )
 
 
-_shared = None  # in the pool's workers, the _Shared of their search
+_job = None  # in the pool's workers, the _Prepared and found of their search
 
 
-def _start_worker(shared: _Shared) -> None:
-    global _shared
-    _shared = shared
+def _start_worker(prep: _Prepared, found) -> None:
+    global _job
+    _job = prep, found
 
 
 def _search_first(v: int):
     """One job of a parallel search: the subtree under first label v."""
-    return _search_single(_shared.prep, (v,), _shared)
+    prep, found = _job
+    return _search_single(prep, (v,), found)
 
 
 def search(
@@ -585,12 +552,13 @@ def search(
     """Run the labeling search and return its outcome.
 
     workers > 1 runs one job per first label, in ascending order, in a pool
-    of processes; node counts sum over the jobs, and the limits apply to the
-    whole search. Without limits the status and witnesses are those of a
-    single-worker run. workers < 1 raises ConfigInvalidError. find_all
-    returns the witnesses sorted by labels, and FOUND only if no limit cut
-    the list short. derive_bounds=False skips deriving max_label and
-    forced_label_sum from the counting arguments (both stay available as
+    of processes that share one deadline; node counts sum over the jobs.
+    Without limits the status and witnesses are those of a single-worker
+    run. A node_limit runs the search at one worker whatever workers says,
+    so it stops at the same node. workers < 1 raises ConfigInvalidError.
+    find_all returns the witnesses sorted by labels, and FOUND only if no
+    limit cut the list short. derive_bounds=False skips deriving max_label
+    and forced_label_sum from the counting arguments (both stay available as
     explicit config fields). disabled_rules names pruning rules to switch
     off, which affects cost only.
     """
@@ -600,12 +568,16 @@ def search(
     prep = _Prepared(g, cfg, derive_bounds, disabled_rules)
     # one worker takes every first label, in this process; more take one job
     # per label as each goes idle, unless the root's sum bounds, the same for
-    # every label, cut it: a search with no first label tests them once
+    # every label, cut it: a search with no first label tests them once. A
+    # node limit counts nodes in single-worker search order, so it gets one
     values = range(1, prep.max_label + 1)
-    workers = min(workers, len(values))
+    workers = 1 if cfg.node_limit is not None else min(workers, len(values))
     results = [_search_single(prep, values if workers == 1 else ())]
     if workers > 1 and not results[0][3]["sum_bound"] + results[0][3]["sum_divisibility"]:
-        results = list(_pool_map(_search_first, values, workers, _start_worker, (_Shared(prep),)))
+        from multiprocessing import Value
+
+        found = Value("i", prep.max_label + 1)
+        results = list(_pool_map(_search_first, values, workers, _start_worker, (prep, found)))
     if cfg.find_all:
         witnesses = sorted({w for _, ws, _, _ in results for w in ws}, key=lambda w: w.labels)
     else:

@@ -29,7 +29,6 @@ from leechlab.search import (
     Status,
     _Prepared,
     _search_single,
-    _Shared,
     census_corpus,
     search,
     search_family_presets,
@@ -205,12 +204,11 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_limit_cutting_find_all_short_is_the_status(self, workers):
-        # C4 has 8 witnesses in 120 nodes. The first job to take from the
-        # budget, first label 1 or 2, takes all 10 nodes and finds a witness
-        # at its 7th node and no other; the other jobs find the budget spent
+        # C4 has 8 witnesses and its first 10 nodes in search order lead to
+        # one; a node limit runs the search at one worker at any count
         out = search(cycle(4), SearchConfig(find_all=True, node_limit=10), workers=workers)
-        assert out.status is Status.NODE_LIMIT
-        assert 0 < len(out.witnesses) < 8
+        assert (out.status, out.nodes_explored) == (Status.NODE_LIMIT, 10)
+        assert len(out.witnesses) == 1
 
     @pytest.mark.parametrize("workers", [2, 3])
     @pytest.mark.parametrize(
@@ -260,6 +258,9 @@ class TestDeterminism:
         monkeypatch.setattr(importlib.import_module("leechlab.search"), "_pool_map", no_pool)
         out = search(cycle(7), workers=2)
         assert (out.nodes_explored, out.pruning_stats) == (0, {"sum_divisibility": 1})
+        # nor does a node limit, which runs the search at one worker
+        out = search(cycle(10), SearchConfig(max_label=13, node_limit=1000), workers=2)
+        assert (out.status, out.nodes_explored) == (Status.NODE_LIMIT, 1000)
 
     def test_prism_stops_early_at_two_workers(self):
         # one worker finds the prism's witness at node 1,086; a job running
@@ -269,14 +270,16 @@ class TestDeterminism:
         assert min(counts) <= 1086 + 4096
 
     def test_job_stops_at_its_first_check_after_a_smaller_label_finds(self):
+        from multiprocessing import Value
+
         prep = _Prepared(prism(), SearchConfig(), True, ())
-        shared = _Shared(prep)
+        found = Value("i", prep.max_label + 1)
         # first label 2 alone finds a witness after more than 4,096 nodes
-        status, witnesses, nodes, _ = _search_single(prep, (2,), shared)
+        status, witnesses, nodes, _ = _search_single(prep, (2,), found)
         assert status is Status.FOUND and nodes > 4096
-        assert shared.found.value == 2
+        assert found.value == 2
         # a job that starts after a smaller label found one is skipped
-        assert _search_single(prep, (3,), shared)[0::2] == (None, 0)
+        assert _search_single(prep, (3,), found)[0::2] == (None, 0)
 
         class FoundAfterStart:
             # the record as a job reads it: empty at its start, then label 1
@@ -287,8 +290,7 @@ class TestDeterminism:
                 self.reads += 1
                 return prep.max_label + 1 if self.reads == 1 else 1
 
-        shared.found = FoundAfterStart()
-        status, witnesses, nodes, _ = _search_single(prep, (2,), shared)
+        status, witnesses, nodes, _ = _search_single(prep, (2,), FoundAfterStart())
         assert (status, witnesses, nodes) == (None, [], 4096)
 
     def test_one_worker_starts_no_pool(self):
@@ -329,38 +331,25 @@ class TestLimits:
         assert out.status is Status.NODE_LIMIT
         assert out.nodes_explored == 5000
 
-    def test_node_limit_applies_per_search(self):
-        # the jobs of a parallel search share one budget
-        limit = 5000
-        for workers in (1, 2, 3):
-            out = search(cycle(10), SearchConfig(max_label=31, node_limit=limit), workers=workers)
-            assert out.status is Status.NODE_LIMIT
-            assert out.nodes_explored <= limit
-            if workers == 1:
-                assert out.nodes_explored == limit
-
-    def test_budget_goes_out_in_blocks_and_comes_back(self):
-        prep = _Prepared(cycle(10), SearchConfig(max_label=31, node_limit=10000), True, ())
-        shared = _Shared(prep)
-        # first label 31 has a small subtree and returns the rest of its block
-        status, _, nodes, _ = _search_single(prep, (31,), shared)
-        assert status is Status.EXHAUSTED_NONE and 0 < nodes < 4096
-        assert shared.budget.value == 10000 - nodes
-        # first label 1 takes blocks of 4,096 until the budget is spent
-        status, _, more, _ = _search_single(prep, (1,), shared)
-        assert (status, more, shared.budget.value) == (Status.NODE_LIMIT, 10000 - nodes, 0)
-        # a job that finds the budget spent stops before its first node
-        assert _search_single(prep, (2,), shared)[0::2] == (Status.NODE_LIMIT, 0)
-
-    def test_shared_budget_under_more_workers_than_cores(self):
-        # four processes draw on one budget; a lost update would let the
-        # search run past it
-        limit = 50000
-        start = time.monotonic()
-        out = search(cycle(10), SearchConfig(max_label=31, node_limit=limit), workers=4)
-        assert out.status is Status.NODE_LIMIT
-        assert 0 < out.nodes_explored <= limit
-        assert time.monotonic() - start < 30
+    @pytest.mark.parametrize(
+        "make,cfg,status,nodes",
+        [
+            (lambda: cycle(10), SearchConfig(max_label=31, node_limit=5000), Status.NODE_LIMIT, 5000),
+            # the whole tree is 36,345 nodes
+            (lambda: cycle(10), SearchConfig(max_label=13, node_limit=36346), Status.EXHAUSTED_NONE, 36345),
+            # one worker finds the witness at node 15,531
+            (lambda: wheel(6), SearchConfig(node_limit=16000), Status.FOUND, 15531),
+        ],
+        ids=["C10-31", "C10-13", "W6"],
+    )
+    def test_node_limit_applies_per_search(self, make, cfg, status, nodes):
+        # a node-limited search runs at one worker whatever workers says, so
+        # it stops at the same node, with the same outcome, at every count
+        one = search(make(), cfg)
+        assert (one.status, one.nodes_explored) == (status, nodes)
+        for workers in (2, 3, 4):
+            many = search(make(), cfg, workers=workers)
+            assert replace(many, elapsed=one.elapsed) == one
 
     def test_time_limit_is_one_deadline_per_search(self):
         # 31 first-label jobs; a deadline per job would run past the limit
