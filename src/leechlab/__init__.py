@@ -12,7 +12,6 @@ from .errors import (
     CatalogMissingError,
     ConfigInvalidError,
     DuplicateEdgeError,
-    EdgeIdOutOfRangeError,
     EmptyGraphError,
     FormulaDomainError,
     LabelCountMismatchError,
@@ -34,7 +33,7 @@ from .graph import (
     distances,
     enumerate_geodesics,
 )
-from .labeling import ClassificationReport, Labeling, Verdict, classify, path_weight
+from .labeling import ClassificationReport, Labeling, Verdict, classify
 from .formulas import (
     BoundArgument,
     FeasibilityResult,

@@ -25,10 +25,6 @@ class FormulaDomainError(LeechLabError, ValueError):
     pass
 
 
-class EdgeIdOutOfRangeError(LeechLabError, IndexError):
-    pass
-
-
 class LabelCountMismatchError(LeechLabError, ValueError):
     pass
 

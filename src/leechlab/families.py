@@ -4,7 +4,6 @@ Edge-order conventions are normative because labeling files are positional:
 
   cycle(n)                 edge i joins vertices i and (i+1) mod n
   complete(n)              lexicographic pairs (0,1), (0,2), ..., (n-2,n-1)
-  complete_minus_edge(n)   complete(n) without the pair (0,1)
   complete_bipartite(m,n)  side A is 0..m-1, side B is m..m+n-1, pairs in
                            lexicographic order (0,m), (0,m+1), ...
   path(n)                  edge i joins vertices i and i+1
@@ -52,13 +51,6 @@ def complete(n: int) -> Graph:
     if n < 1:
         raise TooSmallError(f"complete graph needs n >= 1, got {n}")
     return build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-
-
-def complete_minus_edge(n: int) -> Graph:
-    if n < 2:
-        raise TooSmallError(f"complete-minus-edge needs n >= 2, got {n}")
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) != (0, 1)]
-    return build_graph(n, edges)
 
 
 def complete_bipartite(m: int, n: int) -> Graph:

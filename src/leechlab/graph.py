@@ -76,11 +76,6 @@ class Graph:
         """Edges as (min, max) vertex pairs, indexed by edge id."""
         return self._edges
 
-    def neighbors(self, v: int) -> tuple[tuple[int, int], ...]:
-        """(neighbor, edge id) pairs of v, sorted by neighbor."""
-        self._check_vertex(v)
-        return self._adj[v]
-
     def edge_id(self, u: int, v: int) -> int:
         key = (u, v) if u < v else (v, u)
         try:

@@ -25,7 +25,6 @@ from .graph import Graph, build_graph
 from .labeling import Labeling
 
 GRAPH6_HEADER = ">>graph6<<"
-_MAX_G6_VERTICES = 62
 
 
 def _data_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
@@ -60,12 +59,6 @@ def parse_edge_list(text: str) -> Graph:
     if len(edges) != m:
         raise ParseError(f"header promises {m} edges, file contains {len(edges)}")
     return build_graph(n, edges)
-
-
-def format_edge_list(g: Graph) -> str:
-    lines = [f"{g.vertex_count} {g.edge_count}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges)
-    return "\n".join(lines) + "\n"
 
 
 def parse_labeling(text: str) -> Labeling:
@@ -119,33 +112,6 @@ def graph6_decode(line: str) -> Graph:
         if byte & ((1 << (6 - bits_needed % 6)) - 1):
             raise ParseError(f"graph6 line has non-zero padding bits: {line!r}")
     return build_graph(n, edges)
-
-
-def graph6_encode(g: Graph) -> str:
-    """Encode a Graph as a single graph6 line (n <= 62)."""
-    n = g.vertex_count
-    if n > _MAX_G6_VERTICES:
-        raise ParseError(f"graph6 encoding supports up to {_MAX_G6_VERTICES} vertices, got {n}")
-    present = set(g.edges)
-    bits: list[int] = []
-    for j in range(1, n):
-        for i in range(j):
-            bits.append(1 if (i, j) in present else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    out = [chr(n + 63)]
-    for k in range(0, len(bits), 6):
-        value = 0
-        for b in bits[k : k + 6]:
-            value = value << 1 | b
-        out.append(chr(value + 63))
-    return "".join(out)
-
-
-def iter_graph6(lines: Iterable[str]) -> Iterator[Graph]:
-    """Decode the graph6 data lines of lines one at a time."""
-    for _, line in _data_lines(lines):
-        yield graph6_decode(line)
 
 
 def load_graph(path: str) -> Graph:

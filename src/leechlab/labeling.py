@@ -7,12 +7,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import (
-    EdgeIdOutOfRangeError,
-    LabelCountMismatchError,
-    NonPositiveLabelError,
-)
-from .graph import GeodesicPath, Graph, _walk
+from .errors import LabelCountMismatchError, NonPositiveLabelError
+from .graph import Graph, _walk
 
 
 class Verdict(enum.Enum):
@@ -32,13 +28,6 @@ class Labeling:
         if bad:
             raise NonPositiveLabelError(f"labels must be positive integers, got {bad}")
 
-    @property
-    def total(self) -> int:
-        return sum(self.labels)
-
-    def __len__(self) -> int:
-        return len(self.labels)
-
 
 @dataclass(frozen=True)
 class ClassificationReport:
@@ -55,24 +44,6 @@ class ClassificationReport:
     missing: tuple[int, ...]
     duplicates: tuple[tuple[int, int], ...]
     overshoot: tuple[int, ...]
-
-
-def path_weight(lab: Labeling, p: GeodesicPath) -> int:
-    """Sum of the labels on the path's edges."""
-    total = 0
-    for eid in p.edge_ids:
-        if eid >= len(lab.labels):
-            raise EdgeIdOutOfRangeError(
-                f"path uses edge id {eid} but labeling has {len(lab.labels)} labels"
-            )
-        total += lab.labels[eid]
-    return total
-
-
-def as_labeling(labels) -> Labeling:
-    if isinstance(labels, Labeling):
-        return labels
-    return Labeling(tuple(labels))
 
 
 def verdict_of(weights, t: int) -> Verdict:
@@ -103,7 +74,8 @@ def classify(g: Graph, lab: Labeling | Sequence[int]) -> ClassificationReport:
     t_gp is always recomputed by enumeration (graph._walk), never from
     closed forms, so the classifier stays correct on arbitrary input graphs.
     """
-    lab = as_labeling(lab)
+    if not isinstance(lab, Labeling):
+        lab = Labeling(tuple(lab))
     if len(lab.labels) != g.edge_count:
         raise LabelCountMismatchError(
             f"labeling has {len(lab.labels)} labels but graph has {g.edge_count} edges"

@@ -167,11 +167,12 @@ def _validate(g: Graph, cfg: SearchConfig, workers: int) -> None:
     if cfg.max_label is not None and cfg.max_label < 1:
         raise ConfigInvalidError(f"max_label must be >= 1, got {cfg.max_label}")
     _validate_limits(cfg.time_limit, cfg.node_limit, workers)
-    m = g.edge_count
-    if cfg.forced_label_sum is not None and cfg.forced_label_sum < m * (m + 1) // 2:
+    # m distinct labels sum to at least m(m+1)/2; an almost labeling may
+    # repeat labels, so in almost mode a sum too low only exhausts the search
+    m, forced = g.edge_count, cfg.forced_label_sum
+    if cfg.mode is Mode.LEECH and forced is not None and forced < m * (m + 1) // 2:
         raise ConfigInvalidError(
-            f"forced_label_sum {cfg.forced_label_sum} is below the minimum "
-            f"{m * (m + 1) // 2} for {m} labels"
+            f"forced_label_sum {forced} is below the minimum {m * (m + 1) // 2} for {m} labels"
         )
 
 
@@ -732,10 +733,13 @@ def census_corpus(
 
 
 def _pool_map(fn, jobs, workers: int, initializer=None, initargs=()) -> Iterator:
-    """fn over jobs, results in input order: in this process at one worker,
-    else in a pool of workers processes, each started with
-    initializer(*initargs) and handed one job at a time."""
-    if workers == 1:
+    """fn over jobs, results in input order: in this process when one worker
+    or one job is left, else in a pool of min(workers, len(jobs)) processes,
+    each started with initializer(*initargs) and handed one job at a time.
+    A pool starts all its processes at the first job, so it gets no more
+    than there are jobs."""
+    workers = min(workers, len(jobs))
+    if workers <= 1:
         yield from map(fn, jobs)
         return
     from concurrent.futures import ProcessPoolExecutor

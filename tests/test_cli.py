@@ -190,6 +190,18 @@ class TestSearch:
         code2, _, _ = run(capsys, "verify", "--family", "wheel:7", str(f))
         assert code2 == EXIT_ALMOST
 
+    def test_almost_sum_below_the_leech_floor(self, capsys, tmp_path):
+        # 1 1 2 sums to 4, below the 6 that three distinct labels need
+        code, out, _ = run(capsys, "search", "--family", "cycle:3", "--almost", "--sum", "4")
+        assert code == EXIT_LEECH
+        assert parse_labeling(out).labels == (1, 1, 2)
+        f = tmp_path / "witness.txt"
+        f.write_text(out)
+        code2, _, _ = run(capsys, "verify", "--family", "cycle:3", str(f))
+        assert code2 == EXIT_ALMOST
+        code3, _, err = run(capsys, "search", "--family", "cycle:3", "--sum", "4")
+        assert code3 == EXIT_USAGE and "below the minimum 6" in err
+
     def test_json_output(self, capsys):
         code, out, _ = run(capsys, "search", "--family", "cycle:4", "--json")
         payload = json.loads(out)
@@ -384,11 +396,9 @@ class TestCensus:
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
     def test_workers_preserve_order(self, capsys, tmp_path):
-        from leechlab.graphio import graph6_encode
-        from leechlab.families import cycle as make_cycle
-
+        nx = pytest.importorskip("networkx")
         f = tmp_path / "cycles.g6"
-        f.write_text("\n".join(graph6_encode(make_cycle(n)) for n in (3, 5, 4, 6)) + "\n")
+        f.write_bytes(b"".join(nx.to_graph6_bytes(nx.cycle_graph(n), header=False) for n in (3, 5, 4, 6)))
         code, out, _ = run(capsys, "census", str(f), "--workers", "2")
         rows = [json.loads(line) for line in out.strip().splitlines()][:-1]
         assert [r["index"] for r in rows] == [0, 1, 2, 3]

@@ -27,11 +27,6 @@ class TestGenerators:
         assert g.edge_count == 6
         assert census(g).total == 6  # diameter 1: geodesics are the edges
 
-    def test_complete_minus_edge(self):
-        g = families.complete_minus_edge(4)
-        assert g.edge_count == 5
-        assert (0, 1) not in g.edges
-
     def test_bipartite_vertex_split(self):
         g = families.complete_bipartite(2, 3)
         assert g.vertex_count == 5

@@ -1,17 +1,13 @@
-"""Path weights and the Leech / almost / neither classifier."""
+"""Labelings and the Leech / almost / neither classifier."""
 
 import itertools
 
 import pytest
 
-from leechlab.errors import (
-    EdgeIdOutOfRangeError,
-    LabelCountMismatchError,
-    NonPositiveLabelError,
-)
+from leechlab.errors import LabelCountMismatchError, NonPositiveLabelError
 from leechlab.families import cycle
-from leechlab.graph import GeodesicPath, build_graph, census, enumerate_geodesics
-from leechlab.labeling import Labeling, Verdict, classify, path_weight, verdict_of
+from leechlab.graph import build_graph, census
+from leechlab.labeling import Labeling, Verdict, classify, verdict_of
 
 
 def triangle():
@@ -19,9 +15,6 @@ def triangle():
 
 
 class TestLabeling:
-    def test_total(self):
-        assert Labeling((1, 6, 2, 3)).total == 12
-
     def test_rejects_non_positive(self):
         with pytest.raises(NonPositiveLabelError):
             Labeling((1, 0, 2))
@@ -52,22 +45,6 @@ class TestLabeling:
 )
 def test_verdict_of_table(weights, t, verdict):
     assert verdict_of(weights, t) is verdict
-
-
-class TestPathWeight:
-    def test_two_edge_path_on_c4(self):
-        lab = Labeling((1, 6, 2, 3))
-        assert path_weight(lab, GeodesicPath((0, 2), (0, 1))) == 7
-
-    def test_single_edge(self):
-        assert path_weight(Labeling((9, 5)), GeodesicPath((1, 2), (1,))) == 5
-
-    def test_all_ones(self):
-        assert path_weight(Labeling((1, 1, 1)), GeodesicPath((0, 3), (0, 1, 2))) == 3
-
-    def test_edge_id_out_of_range(self):
-        with pytest.raises(EdgeIdOutOfRangeError):
-            path_weight(Labeling((1,)), GeodesicPath((0, 2), (0, 1)))
 
 
 class TestClassify:

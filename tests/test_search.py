@@ -2,6 +2,7 @@
 
 import importlib
 import itertools
+import os
 import time
 from dataclasses import replace
 
@@ -308,7 +309,7 @@ class TestDeterminism:
         )
         proc = subprocess.run(
             [sys.executable, "-c", code],
-            env={"PYTHONPATH": str(Path(leechlab.__file__).parents[1])},
+            env={**os.environ, "PYTHONPATH": str(Path(leechlab.__file__).parents[1])},
             capture_output=True, text=True, check=True,
         )
         assert proc.stdout == "False\n"
@@ -402,6 +403,15 @@ class TestConfigValidation:
     def test_forced_sum_below_floor(self):
         with pytest.raises(ConfigInvalidError):
             search(cycle(4), SearchConfig(forced_label_sum=9))  # floor is 10
+
+    def test_almost_forced_sum_below_the_leech_floor(self):
+        # the floor m(m+1)/2 holds for distinct labels only: 1 1 2 sums to 4
+        out = search(cycle(3), SearchConfig(mode=Mode.ALMOST, forced_label_sum=4))
+        assert out.status is Status.FOUND and out.witnesses[0].labels == (1, 1, 2)
+        assert classify(cycle(3), out.witnesses[0]).verdict is Verdict.ALMOST_GEODESIC_LEECH
+        # a sum too low for any almost labeling exhausts the search
+        out = search(cycle(3), SearchConfig(mode=Mode.ALMOST, forced_label_sum=1))
+        assert out.status is Status.EXHAUSTED_NONE
 
     def test_almost_forced_sum_needs_equal_counts(self):
         with pytest.raises(ConfigInvalidError, match="same number"):
@@ -674,6 +684,33 @@ class TestCensusCorpus:
             if row.verdict in target:
                 assert classify(graph6_decode(line), row.witness).verdict is target[row.verdict], line
         assert sum(r.nodes for r in rows) < 1_000_000
+
+    def test_pool_never_outnumbers_the_rows(self, monkeypatch):
+        # a stand-in pool records its size and starts no process
+        import concurrent.futures
+
+        sizes = []
+
+        class Pool:
+            def __init__(self, max_workers, initializer=None, initargs=()):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        rows = list(census_corpus(["Bw", "A_"], workers=8))
+        assert sizes == [2] and [r.verdict for r in rows] == ["leech", "leech"]
+        # one row, or none, runs in this process
+        assert [r.verdict for r in census_corpus(["Bw"], workers=8)] == ["leech"]
+        assert list(census_corpus([], workers=8)) == []
+        assert sizes == [2]
 
     def test_graph6_lines_and_decode_errors(self):
         rows = list(census_corpus(["Bw", "~~~bogus", "@"], workers=2))
