@@ -53,6 +53,11 @@ class TestEdgeList:
         text = "# triangle\n3 3\n\n0 1  # first\n1 2\n2 0\n"
         assert parse_edge_list(text).edge_count == 3
 
+    @pytest.mark.parametrize("g", [cycle(7), prism(), complete_bipartite(2, 4)], ids=repr)
+    def test_reads_back_the_edges_of_a_family(self, g):
+        text = f"{g.vertex_count} {g.edge_count}\n" + "".join(f"{u} {v}\n" for u, v in g.edges)
+        assert parse_edge_list(text) == g
+
     def test_error_carries_line_number(self):
         with pytest.raises(ParseError, match="line 2"):
             parse_edge_list("3 1\n0 x\n")
@@ -143,6 +148,11 @@ class TestGraph6:
         line = chr(3 + 63) + chr((0b111111) + 63)
         with pytest.raises(ParseError, match="padding"):
             graph6_decode(line)
+
+    def test_load_graph_cuts_a_trailing_comment(self, tmp_path):
+        f = tmp_path / "triangle.g6"
+        f.write_text("  # K3 next\nBw # triangle\nA_#K2\n")
+        assert load_graph(str(f)).edge_count == 3
 
     def test_load_graph_reads_the_first_data_line(self, tmp_path):
         f = tmp_path / "claw.g6"

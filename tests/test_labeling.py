@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from leechlab.errors import LabelCountMismatchError, NonPositiveLabelError
-from leechlab.families import cycle
+from leechlab.families import cycle, path
 from leechlab.graph import build_graph, census
 from leechlab.labeling import Labeling, Verdict, classify, verdict_of
 
@@ -80,6 +80,20 @@ class TestClassify:
         with pytest.raises(LabelCountMismatchError, match="2 labels.*3 edges"):
             classify(triangle(), [1, 2])
 
+    def test_too_many_labels(self):
+        with pytest.raises(LabelCountMismatchError, match="4 labels.*3 edges"):
+            classify(triangle(), [1, 2, 3, 4])
+
+    def test_single_edge_weighs_its_label(self):
+        report = classify(build_graph(2, [(1, 0)]), [5])
+        assert report.t_gp == 1
+        assert report.weight_multiset == (5,)
+
+    def test_path_weights_add_labels(self):
+        # P4 with all ones: three edges, two 2-edge geodesics, one 3-edge geodesic
+        report = classify(path(4), [1, 1, 1])
+        assert report.weight_multiset == (1, 1, 1, 2, 2, 3)
+
     def test_report_even_for_neither(self):
         report = classify(cycle(4), [1, 1, 1, 1])
         assert report.verdict is Verdict.NEITHER
@@ -117,6 +131,12 @@ class TestC4BruteForceOracle:
         g = cycle(4)
         for labels in itertools.product(range(1, 9), repeat=4):
             assert classify(g, labels).verdict is c4_oracle_verdict(labels), labels
+
+    def test_weights_match_the_hard_coded_geodesics(self):
+        g = cycle(4)
+        for labels in ((1, 6, 2, 3), (9, 5, 1, 1), (2, 7, 4, 3)):
+            expected = sorted(sum(labels[e] for e in p) for p in C4_GEODESICS)
+            assert classify(g, labels).weight_multiset == tuple(expected), labels
 
     def test_exactly_eight_leech_labelings(self):
         solutions = [
