@@ -5,13 +5,14 @@ single edges are geodesics of length 1, single vertices are not geodesics.
 Enumeration is the ground truth every closed-form count in this package is
 checked against, so it is deliberately simple, and _walk alone does it: per
 source, a BFS, then one depth-first walk down the BFS layers that makes each
-geodesic a node of a path trie. Paths, census and weights are read off it.
+geodesic a node of a path trie. Paths, census and weights are read off it,
+and a one-entry memo keeps the last graph's walk for the next call on it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 from .errors import (
@@ -169,8 +170,9 @@ def _bfs(adj, source: int, dist: list) -> list[int]:
     return order
 
 
-def _walk(g: Graph):
-    """Yield (u, trie) for each source u: the geodesics from u, as a trie.
+@functools.lru_cache(maxsize=1)  # census, classify and search share one graph's walk
+def _walk(g: Graph) -> tuple[tuple[int, tuple[tuple[int, int, int, int], ...]], ...]:
+    """The geodesics from each source u, as (u, trie) tuples in order of u.
 
     trie[0] = (u, -1, -1, 0) is the empty path; each later node (x, parent,
     eid, length) is node parent extended by edge eid to x. Each step goes one
@@ -181,6 +183,7 @@ def _walk(g: Graph):
     # (neighbor, edge id) pairs by descending edge id: popped ascending
     down = [sorted(a, key=lambda p: p[1], reverse=True) for a in g._adj]
     dist = [INFINITY] * g.vertex_count
+    walk = []
     for u in range(g.vertex_count):
         reached = _bfs(g._adj, u, dist)
         trie, stack = [], [(u, -1, -1, 0)]
@@ -191,28 +194,28 @@ def _walk(g: Graph):
             for w, eid in down[x]:
                 if dist[w] == dw:
                     stack.append((w, i, eid, dw))
-        yield u, trie
+        walk.append((u, tuple(trie)))
         for x in reached:
             dist[x] = INFINITY
+    return tuple(walk)
 
 
 def enumerate_geodesics(g: Graph) -> list[GeodesicPath]:
     """Every geodesic of every unordered reachable vertex pair, exactly once.
 
     Paths start at the smaller endpoint; output is sorted by
-    (min endpoint, max endpoint, edge-id sequence) and is deterministic.
+    (min endpoint, max endpoint, edge-id sequence) and is deterministic:
+    each trie node's path is its parent's plus one edge, and a stable sort
+    on the far endpoint keeps the walk's edge-id order within a pair.
     """
-    return _paths_of(_walk(g))
-
-
-def _paths_of(tries) -> list[GeodesicPath]:
-    """The walk's geodesics as paths, sorted by a stable sort on endpoints."""
     out: list[GeodesicPath] = []
-    for u, trie in tries:
-        paths = [()]
-        for _, p, eid, _ in trie[1:]:
-            paths.append(paths[p] + (eid,))
-        found = [GeodesicPath((u, x), path) for (x, *_), path in zip(trie, paths) if x > u]
+    for u, trie in _walk(g):
+        paths, found = [()] * len(trie), []
+        for i in range(1, len(trie)):
+            x, p, eid, _ = trie[i]
+            paths[i] = path = paths[p] + (eid,)
+            if x > u:
+                found.append(GeodesicPath((u, x), path))
         out += sorted(found, key=lambda p: p.endpoints[1])
     return out
 
@@ -220,24 +223,30 @@ def _paths_of(tries) -> list[GeodesicPath]:
 def count_geodesics(g: Graph) -> int:
     """Geodesic path number from per-source shortest-path counts.
 
-    A vertex at distance d from u is reached by as many geodesics as its
-    neighbors at distance d - 1 together. No path is built, so this stays
-    an independent cross-check of len(enumerate_geodesics(g)).
+    One BFS per source counts as it goes: a vertex at distance d + 1 is
+    reached by as many geodesics as its neighbors at distance d together.
+    No path is built and _walk is not used, so this stays an independent
+    cross-check of len(enumerate_geodesics(g)).
     """
     total = 0
-    dist = [INFINITY] * g.vertex_count
-    # only entries of reached vertices are read, each after this source wrote it
+    dist = [-1] * g.vertex_count  # -1: not reached yet from this source
     ways = [0] * g.vertex_count
     for u in range(g.vertex_count):
-        order = _bfs(g._adj, u, dist)
-        ways[u] = 1
-        for v in order[1:]:
-            up = dist[v] - 1
-            ways[v] = sum(ways[w] for w, _ in g._adj[v] if dist[w] == up)
-        total += sum(ways[v] for v in order if v > u)
+        dist[u], ways[u] = 0, 1
+        order = [u]
+        for x in order:  # the list grows as it is read: it is the BFS queue
+            dw, wx = dist[x] + 1, ways[x]
+            for w, _ in g._adj[x]:
+                d = dist[w]
+                if d < 0:
+                    dist[w], ways[w] = dw, wx
+                    order.append(w)
+                elif d == dw:
+                    ways[w] += wx
+        total += sum(map(ways.__getitem__, order)) - 1  # every v != u
         for v in order:
-            dist[v] = INFINITY
-    return total
+            dist[v] = -1
+    return total // 2  # each pair was counted from both ends
 
 
 def stabilizer_orbits(g: Graph, order) -> list[tuple[int, ...]]:
@@ -353,25 +362,23 @@ def _automorphism(nbrs, colors, src, dst) -> list[int] | None:
 
 
 def census(g: Graph) -> GeodesicCensus:
-    """Full geodesic census, read off the geodesic walk."""
-    return _census_of(g, _walk(g))
-
-
-def _census_of(g: Graph, tries) -> GeodesicCensus:
-    """Census of g from its walk. k_e sums, over the trie nodes whose last
-    edge is e, the geodesics at or below them (one pass back from the last
-    node, each adding its count to its parent's); the longest is a diameter.
+    """Full geodesic census, read off the geodesic walk. k_e sums, over the
+    trie nodes whose last edge is e, the geodesics at or below them (one pass
+    back from the last node, each adding its count to its parent's); the
+    longest geodesic is a diameter.
     """
     per_edge = [0] * g.edge_count
-    lengths: Counter[int] = Counter()
-    for u, trie in tries:
-        below = [x > u for x, *_ in trie]
-        lengths.update(length for x, _, _, length in trie if x > u)
+    lengths = [0] * g.vertex_count  # a geodesic has fewer edges than g has vertices
+    for u, trie in _walk(g):
+        below = [0] * len(trie)
         for i in range(len(trie) - 1, 0, -1):
-            if below[i]:
-                _, p, eid, _ = trie[i]
-                per_edge[eid] += below[i]
-                below[p] += below[i]
-    by_length = dict(sorted(lengths.items()))
+            x, p, eid, length = trie[i]
+            k = below[i]
+            if x > u:
+                lengths[length] += 1
+                k += 1
+            per_edge[eid] += k
+            below[p] += k
+    by_length = {length: c for length, c in enumerate(lengths) if c}
     total, diameter = sum(by_length.values()), max(by_length, default=0)
     return GeodesicCensus(total, by_length, tuple(per_edge), diameter)

@@ -47,7 +47,7 @@ class ClassificationReport:
 
 
 def verdict_of(weights, t: int) -> Verdict:
-    """Verdict of a multiset of geodesic weights, given the geodesic path number t.
+    """Verdict of a multiset of geodesic weights (or their Counter), given t_gp t.
 
     Geodesic Leech means the weights are exactly {1, ..., t}. Almost means
     every weight lies in 1..t, exactly one of those values is missing and
@@ -82,17 +82,19 @@ def classify(g: Graph, lab: Labeling | Sequence[int]) -> ClassificationReport:
         )
     # each trie node weighs its parent's weight plus its last edge's label;
     # the label count matches g.edge_count, so every edge id indexes a label
-    weights: list[int] = []
+    labels, weights = lab.labels, []
     for u, trie in _walk(g):
-        node_weights = [0]
-        for _, p, eid, _ in trie[1:]:
-            node_weights.append(node_weights[p] + lab.labels[eid])
-        weights += [w for w, (x, *_) in zip(node_weights, trie) if x > u]
+        node_weights = [0] * len(trie)
+        for i in range(1, len(trie)):
+            x, p, eid, _ = trie[i]
+            node_weights[i] = w = node_weights[p] + labels[eid]
+            if x > u:
+                weights.append(w)
     weights.sort()
     t_gp = len(weights)
     counts = Counter(weights)
     missing = tuple(v for v in range(1, t_gp + 1) if v not in counts)
     duplicates = tuple((v, c) for v, c in sorted(counts.items()) if c > 1)
     overshoot = tuple(sorted(v for v in counts if v > t_gp))
-    verdict = verdict_of(weights, t_gp)
+    verdict = verdict_of(counts, t_gp)
     return ClassificationReport(verdict, t_gp, tuple(weights), missing, duplicates, overshoot)

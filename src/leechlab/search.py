@@ -65,7 +65,7 @@ from typing import Iterator
 from .errors import ConfigInvalidError, EmptyGraphError, UnknownPresetError
 from .families import beineke_graphs, parse_family
 from .formulas import _common_count, _forced_label_sum, _half_floor, _weight_total, as_even_cycle, max_label_bound
-from .graph import Graph, _census_of, _paths_of, _walk, stabilizer_orbits
+from .graph import Graph, census, enumerate_geodesics, stabilizer_orbits
 from .graphio import _ascii_int, graph6_decode
 from .labeling import Labeling, Verdict, classify, verdict_of
 
@@ -196,9 +196,8 @@ class _Prepared:
         if unknown:
             raise ConfigInvalidError(f"unknown pruning rules: {sorted(unknown)}")
 
-        tries = list(_walk(g))  # one walk for the paths and the census
-        self.paths = _paths_of(tries)
-        c = _census_of(g, tries)
+        self.paths = enumerate_geodesics(g)
+        c = census(g)  # off the same walk, which graph._walk keeps for classify
         self.t = t = c.total
         self.m = g.edge_count
 

@@ -8,10 +8,17 @@ from collections import Counter
 import pytest
 
 from leechlab.errors import DuplicateEdgeError, SelfLoopError, VertexOutOfRangeError
-from leechlab.families import beineke_graphs, complete_bipartite, cycle, small_connected_catalog
+from leechlab.families import (
+    beineke_graphs,
+    complete_bipartite,
+    cycle,
+    small_connected_catalog,
+    wheel,
+)
 from leechlab.graph import (
     INFINITY,
     Graph,
+    _walk,
     build_graph,
     census,
     count_geodesics,
@@ -173,6 +180,49 @@ class TestCensus:
             assert census(g).diameter == largest, g.edges
 
 
+class TestWalkMemo:
+    """_walk keeps the last graph's walk; misses count the walks made."""
+
+    def test_census_then_classify_walk_once(self):
+        g = wheel(7)
+        _walk.cache_clear()
+        census(g)
+        classify(g, range(1, g.edge_count + 1))
+        enumerate_geodesics(g)
+        assert _walk.cache_info().misses == 1
+
+    def test_interleaved_graphs_give_fresh_results(self):
+        c5, c6 = cycle(5), cycle(6)
+        labels = range(1, c6.edge_count + 1)
+        _walk.cache_clear()
+        fresh_c5 = census(c5)
+        _walk.cache_clear()
+        fresh_c6 = classify(c6, labels)
+        _walk.cache_clear()
+        assert census(c5) == fresh_c5
+        assert classify(c6, labels) == fresh_c6
+        assert census(c5) == fresh_c5
+        assert enumerate_geodesics(c6) == enumerate_geodesics(cycle(6))
+        assert _walk.cache_info().misses == 4
+
+    def test_equal_graphs_share_one_walk(self):
+        a, b = wheel(6), wheel(6)
+        assert a is not b and a == b
+        _walk.cache_clear()
+        assert census(a) == census(b)
+        labels = range(1, a.edge_count + 1)
+        assert classify(a, labels) == classify(b, labels)
+        assert _walk(a) is _walk(b)
+        assert _walk.cache_info().misses == 1
+
+    def test_the_shared_walk_is_immutable(self):
+        walk = _walk(complete_bipartite(3, 3))
+        assert type(walk) is tuple and len(walk) == 6
+        for u, trie in walk:
+            assert type(trie) is tuple and trie[0] == (u, -1, -1, 0)
+            assert all(type(node) is tuple for node in trie)
+
+
 def random_graph(rng, max_n=8):
     n = rng.randint(1, max_n)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -249,6 +299,7 @@ def test_enumeration_matches_networkx_on_the_graph_atlas():
         c = census(g)
         per_edge = Counter(eid for _, eids in expected for eid in eids)
         assert c.total == len(expected), g.edges
+        assert count_geodesics(g) == len(expected), g.edges
         assert c.by_length == dict(Counter(len(eids) for _, eids in expected)), g.edges
         assert c.per_edge == tuple(per_edge[eid] for eid in range(g.edge_count)), g.edges
         assert c.diameter == diameter, g.edges

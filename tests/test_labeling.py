@@ -1,6 +1,7 @@
 """Labelings and the Leech / almost / neither classifier."""
 
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -45,6 +46,7 @@ class TestLabeling:
 )
 def test_verdict_of_table(weights, t, verdict):
     assert verdict_of(weights, t) is verdict
+    assert verdict_of(Counter(weights), t) is verdict
 
 
 class TestClassify:

@@ -20,7 +20,7 @@ from leechlab.families import (
     wheel,
 )
 from leechlab.formulas import max_label_bound
-from leechlab.graph import build_graph, census, enumerate_geodesics, stabilizer_orbits
+from leechlab.graph import _walk, build_graph, census, enumerate_geodesics, stabilizer_orbits
 from leechlab.graphio import graph6_decode
 from leechlab.labeling import Verdict, classify
 from leechlab.search import (
@@ -28,6 +28,7 @@ from leechlab.search import (
     Mode,
     SearchConfig,
     Status,
+    _corpus_row,
     _Prepared,
     _search_single,
     census_corpus,
@@ -624,6 +625,14 @@ class TestCensusCorpus:
         rows = list(census_corpus([cycle(3), build_graph(4, []), cycle(4)]))
         assert [r.verdict for r in rows] == ["leech", "error", "leech"]
         assert rows[1].error
+
+    def test_a_row_walks_its_graph_once(self):
+        # EhUg: the Leech search is exhausted, the almost search finds a
+        # witness and the witness is classified again, all off one walk
+        _walk.cache_clear()
+        row = _corpus_row((0, "EhUg", None, None))
+        assert (row.verdict, row.t_gp) == ("almost", 26)
+        assert _walk.cache_info().misses == 1
 
     def test_timeout_verdict(self):
         rows = list(census_corpus([cycle(10)], node_limit=100))
