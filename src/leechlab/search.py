@@ -47,10 +47,15 @@ bitsets and passes new ones down to each child, so nothing is undone on the
 way back. At each node, every geodesic the edge completes adds one shift of
 the weight set to a mask of the labels that collide once, and to one of the
 labels that collide twice; one AND then rejects every colliding candidate,
-and the loop visits only the survivors, in ascending order. Counts are added
+and the loop visits only the survivors, in ascending order. The geodesics'
+partial weights at a depth come from one straight-line function, compiled
+from that depth's completed geodesics when the search first reaches it, in
+the process that runs the search. With no node limit, deadline or early-stop
+flag, a node counts its whole window before its first survivor, and a stop
+takes back the part above the survivor it was in; otherwise counts are added
 for each stretch of candidates up to the next survivor, just before the
-search descends into it, so they are exact wherever the search stops. The C10
-preset (labels up to 31) takes 6,054,843 nodes at one worker.
+search descends into it. Either way they are exact wherever the search stops.
+The C10 preset (labels up to 31) takes 6,054,843 nodes at one worker.
 """
 
 from __future__ import annotations
@@ -306,21 +311,51 @@ def _leaf_matches(prep: _Prepared, labels: list[int]) -> bool:
     return verdict_of(weights, prep.t) is _TARGET[prep.mode]
 
 
+def _compile_head(group):
+    """One depth's geodesic arithmetic, compiled from its completed_at group:
+    head(L, W, X) returns (any_hit, bases, basebits, vlo) for the labels L and
+    weight set W. any_hit has bit v set if some base + v is in W; bases is the
+    tuple of bases if X is true or a base repeats, so one mask is not enough,
+    else None; basebits has a bit per base; vlo is the least label the weight
+    floors allow. Each base is a base named before it plus one label: a
+    geodesic less an end edge is one with the same last edge, completed here."""
+    names = {frozenset(): "0"}
+    body, bases, floors = [], [], []
+    for others, floor in sorted(group, key=lambda x: len(x[0])):
+        key = frozenset(others)
+        if key not in names:
+            cut = others[0] if key - {others[0]} in names else others[-1]
+            prev = names[key - {cut}]
+            names[key] = f"b{len(body)}"
+            body.append(f"    {names[key]} = {'' if prev == '0' else prev + ' + '}L[{cut}]")
+        b = names[key]
+        bases.append(b)
+        if floor > 1:
+            floors.append(f"    if {floor} - {b} > lo: lo = {floor} - {b}")
+    source = [
+        "def head(L, W, X):", *body,
+        "    bb = " + " | ".join("1" if b == "0" else f"1 << {b}" for b in bases),
+        "    lo = 1", *floors,
+        f"    if X or bb.bit_count() < {len(bases)}:",
+        f"        return 0, ({', '.join(bases)},), bb, lo",
+        "    return " + " | ".join("W" if b == "0" else f"W >> {b}" for b in bases) + ", None, bb, lo",
+    ]
+    namespace = {}
+    exec(compile("\n".join(source), "<search head>", "exec"), namespace)
+    return namespace["head"]
+
+
 def _search_single(prep: _Prepared, first_values, found=None):
     """Depth-first search with the first edge's labels among first_values;
     returns (status, witnesses, nodes, stats). A job of a parallel search
     passes one first label and found, the shared least first label with a
     witness, and its status is None if a smaller label's witness stopped it."""
     m, t = prep.m, prep.t
-    order = prep.order
-    k_by_depth = prep.k_by_depth
     completed_at = prep.completed_at
     max_label = prep.max_label
     rules = prep.rules
     leech = prep.leech
     check_distinct = leech and "distinct_label" in rules
-    check_sum = "sum_bound" in rules
-    check_gcd = "sum_divisibility" in rules
     check_wbound = "weight_bound" in rules
     check_wdup = "weight_duplicate" in rules
     dup_budget = 0 if leech else 1
@@ -328,41 +363,29 @@ def _search_single(prep: _Prepared, first_values, found=None):
     tmask = (2 << t) - 1
     first_mask = sum(1 << v for v in set(first_values))
 
+    # per depth: the edge, its count, the gcd of the counts left (the weighted
+    # sum to go needs a multiple of it in [lo, hi]: (hi - wsum) % gcd <= hi - lo)
+    # and the weighted and plain sums that can still reach their windows
+    weighted_hi, span = prep.weighted_hi, prep.weighted_hi - prep.weighted_lo
+    levels = []
+    for d, (wmin, wmax, pmin, pmax) in enumerate(prep.suffix_sums):
+        wlo, whi, plo, phi = -math.inf, math.inf, -math.inf, math.inf
+        if "sum_bound" in rules:
+            wlo, whi = prep.weighted_lo - wmax, weighted_hi - wmin
+            if prep.plain_lo is not None:
+                plo, phi = prep.plain_lo - pmax, prep.plain_hi - pmin
+        gcd = prep.suffix_gcd[d] if "sum_divisibility" in rules else 1
+        levels.append((prep.order[d], prep.k_by_depth[d], gcd, wlo, whi, plo, phi, prep.symmetry[d]))
+    # a depth's head is compiled when the search first gets there
+    heads = [None] * m
+
     labels = [0] * m
-    label_of = labels.__getitem__
-    # per depth: the other edges of each completed geodesic longer than the
-    # edge itself, and the completed geodesics with a weight floor above 1
-    longer_at = [tuple(o for o, _ in group if o) for group in completed_at]
-    raised_at = [tuple(x for x in group if x[1] > 1) for group in completed_at]
-    stats = {rule: 0 for rule in ALL_RULES}
-    symmetry = prep.symmetry
     witnesses: list[Labeling] = []
     nodes = distinct = rejected = 0
+    cut_gcd = cut_sum = cut_wbound = cut_window = cut_symmetry = 0
     deadline, node_limit = prep.deadline, prep.node_limit
     first = first_values[0] if found is not None else None
-
-    weighted_lo, weighted_hi = prep.weighted_lo, prep.weighted_hi
-    plain_lo, plain_hi = prep.plain_lo, prep.plain_hi
-    suffix_gcd = prep.suffix_gcd
-    suffix_sums = prep.suffix_sums
-
-    def remaining_bounds(depth: int, wsum: int, psum: int) -> bool:
-        """True if the suffix, at least one edge, can still hit the sum windows."""
-        if check_gcd:
-            gcd = suffix_gcd[depth]
-            lo = weighted_lo - wsum
-            if (lo + gcd - 1) // gcd * gcd > weighted_hi - wsum:
-                stats["sum_divisibility"] += 1
-                return False
-        if not check_sum:
-            return True
-        wmin, wmax, pmin, pmax = suffix_sums[depth]
-        if wsum + wmin > weighted_hi or wsum + wmax < weighted_lo or (
-            plain_lo is not None and (psum + pmin > plain_hi or psum + pmax < plain_lo)
-        ):
-            stats["sum_bound"] += 1
-            return False
-        return True
+    unchecked = node_limit is None and deadline is None and found is None
 
     def next_check() -> float:
         """The node count at which the next limit or time check falls due."""
@@ -394,16 +417,12 @@ def _search_single(prep: _Prepared, first_values, found=None):
                 rejected += 1
         due = next_check()
 
-    def exact_hits(depth: int, wmask: int) -> tuple[int, int]:
-        """Masks of the labels whose weights collide at least once and twice.
-
-        Bit v of a geodesic's hit mask says that label v gives it a weight
-        already taken: by an earlier geodesic (wmask), or, for a base that
-        repeats at this node, by its first copy if that weight is at most t.
-        """
+    def exact_hits(bases, wmask: int) -> tuple[int, int]:
+        """Masks of the labels whose weights collide at least once and twice:
+        with a weight of an earlier geodesic (wmask), or, for a base that
+        repeats at this node, with its first copy if that weight is at most t."""
         seen = any_hit = two_hit = 0
-        for others, _ in completed_at[depth]:
-            base = sum(map(label_of, others))
+        for base in bases:
             bit = 1 << base
             hit = (tmask if seen & bit else wmask) >> base
             two_hit |= any_hit & hit
@@ -414,45 +433,42 @@ def _search_single(prep: _Prepared, first_values, found=None):
     def descend(depth: int, wsum: int, psum: int, dups: int, wmask: int, lmask: int):
         # wmask holds the weights of the completed geodesics and lmask the
         # labels used so far, a bit per value
-        nonlocal nodes, distinct, rejected
+        nonlocal nodes, distinct, rejected, cut_gcd, cut_sum, cut_wbound, cut_window, cut_symmetry
         if depth == m:
             if _leaf_matches(prep, labels):
                 witnesses.append(Labeling(tuple(labels)))
                 if not prep.find_all:
                     raise _Stop(Status.FOUND)
             return
-        if not remaining_bounds(depth, wsum, psum):
+        eid, k_d, gcd, wlo, whi, plo, phi, symmetry = levels[depth]
+        if (weighted_hi - wsum) % gcd > span:
+            cut_gcd += 1
             return
-        eid = order[depth]
-        k_d = k_by_depth[depth]
+        if not (wlo <= wsum <= whi and plo <= psum <= phi):
+            cut_sum += 1
+            return
+        head = heads[depth]
+        if head is None:
+            head = heads[depth] = _compile_head(completed_at[depth])
         # each geodesic this edge completes has a partial weight (its base)
         # that is fixed over the candidates, so label v gives it a taken
         # weight exactly when bit v of wmask >> base is set; the edge itself
-        # (every edge is a geodesic) has base 0
-        basebits, any_hit, two_hit = 1, wmask, 0
-        for others in longer_at[depth]:
-            base = sum(map(label_of, others))
-            any_hit |= wmask >> base
-            basebits |= 1 << base
-        # that one-pass mask misses a base repeated at this node, and it is
-        # not enough where a single collision is still within the budget
-        if dups < dup_budget or basebits.bit_count() < len(completed_at[depth]):
-            any_hit, two_hit = exact_hits(depth, wmask)
-        vlo = 1
-        for others, floor in raised_at[depth]:
-            base = sum(map(label_of, others))
-            if floor - base > vlo:
-                vlo = floor - base
+        # (every edge is a geodesic) has base 0. One mask misses a repeated
+        # base, and is not enough while one collision is within the budget
+        any_hit, bases, basebits, vlo = head(labels, wmask, dups < dup_budget)
+        two_hit = 0
+        if bases:
+            any_hit, two_hit = exact_hits(bases, wmask)
         # the largest base is the highest bit of basebits
         vhi = max_label
         if check_wbound and t + 1 - basebits.bit_length() < vhi:
             vhi = t + 1 - basebits.bit_length()
-            stats["weight_bound"] += max_label - vhi
+            cut_wbound += max_label - vhi
         if vlo > 1:
-            stats["complement_window"] += vlo - 1
-        for e in symmetry[depth]:
+            cut_window += vlo - 1
+        for e in symmetry:
             if labels[e] > vlo:
-                stats["symmetry"] += labels[e] - vlo
+                cut_symmetry += labels[e] - vlo
                 vlo = labels[e]
         if vlo > vhi:
             return
@@ -466,6 +482,30 @@ def _search_single(prep: _Prepared, first_values, found=None):
         taken = window & lmask if check_distinct else 0
         bad = (any_hit if dups == dup_budget else two_hit) & window & ~taken
         survivors = window & ~(taken | bad)
+        if unchecked:
+            # no check can fall due: count the whole window now, and take back
+            # the part above the current survivor if the search stops in it
+            nodes += (window ^ taken).bit_count()
+            distinct += taken.bit_count()
+            rejected += bad.bit_count()
+            low = 0
+            try:
+                while survivors:
+                    low = survivors & -survivors
+                    survivors ^= low
+                    v = low.bit_length() - 1
+                    labels[eid] = v
+                    descend(
+                        depth + 1, wsum + k_d * v, psum + v, dups + (any_hit >> v & 1),
+                        wmask | (basebits << v) & tmask, lmask | low,
+                    )
+            except _Stop:
+                above = window & -(low << 1)
+                nodes -= (above & ~taken).bit_count()
+                distinct -= (above & taken).bit_count()
+                rejected -= (above & bad).bit_count()
+                raise
+            return
         # count each stretch of candidates up to the next survivor just before
         # descending into it, so counts are exact wherever the search stops
         nodes_mask = window & ~taken
@@ -511,8 +551,7 @@ def _search_single(prep: _Prepared, first_values, found=None):
     if found is not None and status is Status.FOUND and not prep.find_all:
         with found.get_lock():
             found.value = min(found.value, first)
-    stats["distinct_label"] += distinct
-    stats["weight_duplicate"] += rejected
+    stats = dict(zip(ALL_RULES, (distinct, cut_sum, cut_gcd, cut_wbound, rejected, cut_window, cut_symmetry)))
     return status, witnesses, nodes, stats
 
 

@@ -3,6 +3,8 @@
 import importlib
 import itertools
 import os
+import pickle
+import random
 import time
 from dataclasses import replace
 
@@ -28,6 +30,7 @@ from leechlab.search import (
     Mode,
     SearchConfig,
     Status,
+    _compile_head,
     _corpus_row,
     _Prepared,
     _search_single,
@@ -726,3 +729,96 @@ class TestCensusCorpus:
         assert [r.verdict for r in rows] == ["leech", "error", "error"]
         assert (rows[1].n, rows[1].m, rows[1].t_gp) == (None, None, None)
         assert (rows[2].n, rows[2].m, rows[2].t_gp) == (1, 0, 0)
+
+
+def plain_head(group, labels, wmask, exact):
+    """What a compiled head returns, one geodesic at a time: each base as the
+    sum of its other edges' labels, the union of the weight set shifted down
+    by each base, a bit per base, and the highest weight floor less its base.
+    The bases come back sorted, where the head must hand them over."""
+    bases = [sum(map(labels.__getitem__, others)) for others, _ in group]
+    any_hit = basebits = 0
+    vlo = 1
+    for (_, floor), base in zip(group, bases):
+        any_hit |= wmask >> base
+        basebits |= 1 << base
+        vlo = max(vlo, floor - base)
+    if exact or len(set(bases)) < len(bases):
+        return 0, sorted(bases), basebits, vlo
+    return any_hit, None, basebits, vlo
+
+
+class TestCompiledHead:
+    def check_heads(self, prep, rng, trials, top):
+        """Every depth's compiled head against plain_head on random labels
+        1..top for the edges placed before it and random weight sets."""
+        for d, group in enumerate(prep.completed_at):
+            head = _compile_head(group)
+            for _ in range(trials):
+                labels = [0] * prep.m
+                for e in prep.order[:d]:
+                    labels[e] = rng.randint(1, top)
+                wmask = rng.getrandbits(prep.t + 1)
+                for exact in (False, True):
+                    any_hit, bases, basebits, vlo = head(labels, wmask, exact)
+                    got = any_hit, None if bases is None else sorted(bases), basebits, vlo
+                    assert got == plain_head(group, labels, wmask, exact), (prep.order, d, labels)
+
+    def test_matches_plain_loop_on_the_atlas(self):
+        # every graph on up to 6 vertices that has an edge, in both modes;
+        # labels up to 3 make bases repeat, labels up to max_label spread them
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(18)
+        for a in nx.graph_atlas_g():
+            if a.number_of_edges() and a.number_of_nodes() <= 6:
+                g = build_graph(a.number_of_nodes(), list(a.edges()))
+                for mode in Mode:
+                    prep = _Prepared(g, SearchConfig(mode=mode), True, ())
+                    self.check_heads(prep, rng, 3, 3)
+                    self.check_heads(prep, rng, 3, prep.max_label)
+
+    @pytest.mark.parametrize("n, forced", [(8, 60), (10, None)])
+    def test_matches_plain_loop_under_complement_floors(self, n, forced):
+        # a forced label sum on an even cycle (C10 derives 85) raises the
+        # weight floor of each half
+        prep = _Prepared(cycle(n), SearchConfig(forced_label_sum=forced), True, ())
+        assert prep.forced_sum is not None
+        assert any(floor > 1 for group in prep.completed_at for _, floor in group)
+        self.check_heads(prep, random.Random(n), 200, prep.max_label)
+
+    def test_source_grows_one_label_per_geodesic(self):
+        # each base is a named base plus one label, never a sum of all its
+        # edges, so a head reads one label per geodesic longer than its edge
+        class CountingLabels(list):
+            reads = 0
+
+            def __getitem__(self, i):
+                CountingLabels.reads += 1
+                return list.__getitem__(self, i)
+
+        prep = _Prepared(cycle(40), SearchConfig(), True, ())
+        for group in prep.completed_at:
+            CountingLabels.reads = 0
+            _compile_head(group)(CountingLabels([1] * prep.m), 0, False)
+            assert CountingLabels.reads == len([o for o, _ in group if o])
+
+    def test_root_probe_compiles_nothing_past_the_root(self, monkeypatch):
+        module = importlib.import_module("leechlab.search")
+        compiled = []
+        real = module._compile_head
+        monkeypatch.setattr(module, "_compile_head", lambda group: compiled.append(group) or real(group))
+        prep = _Prepared(cycle(10), SearchConfig(max_label=15), True, ())
+        status, witnesses, nodes, _ = _search_single(prep, ())
+        assert (status, witnesses, nodes) == (Status.EXHAUSTED_NONE, [], 0)
+        assert compiled in ([], [prep.completed_at[0]])
+        # a whole search compiles each depth it reaches once
+        compiled.clear()
+        _search_single(prep, range(1, 16))
+        assert sorted(map(prep.completed_at.index, compiled)) == list(range(prep.m))
+
+    def test_prepared_pickles(self):
+        # pool start methods other than fork pickle the pool's initargs, so
+        # _Prepared must hold no compiled code
+        prep = _Prepared(cycle(10), SearchConfig(max_label=15), True, ())
+        copy = pickle.loads(pickle.dumps(prep))
+        assert _search_single(copy, range(1, 16)) == _search_single(prep, range(1, 16))

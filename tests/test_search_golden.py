@@ -10,6 +10,7 @@ current transcript with `PYTHONPATH=src python tests/test_search_golden.py`.
 
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from leechlab.families import (
@@ -95,6 +96,30 @@ def test_search_outcomes_match_golden():
     want = [json.loads(line) for line in GOLDEN.read_text().splitlines()]
     assert _first_difference(got, want, OUTCOMES) is None
     assert _first_difference(got, want, COSTS) is None
+
+
+def test_unlimited_searches_match_golden():
+    # every golden search that ended before its node limit, again with no
+    # limit at all: a single-worker search with no check to make counts each
+    # node's window whole and takes back the rest when it stops, and must
+    # match the stretch-by-stretch counts of the limited run exactly
+    want = [json.loads(line) for line in GOLDEN.read_text().splitlines()]
+    runs = list(_runs())
+    assert len(runs) == len(want)
+    checked = 0
+    for (name, g, cfg, disabled, workers), line in zip(runs, want):
+        if line["status"] == "node-limit":
+            continue
+        res = search(g, replace(cfg, node_limit=None), workers=workers, disabled_rules=disabled)
+        got = {
+            "status": res.status.value,
+            "witnesses": [list(w.labels) for w in res.witnesses],
+            "nodes": res.nodes_explored,
+            "pruning": res.pruning_stats,
+        }
+        assert json.dumps(got) == json.dumps({key: line[key] for key in got}), (name, line["mode"], disabled)
+        checked += 1
+    assert checked == 165
 
 
 if __name__ == "__main__":
