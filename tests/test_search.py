@@ -2,10 +2,12 @@
 
 import importlib
 import itertools
+import math
 import os
 import pickle
 import random
 import time
+import types
 from dataclasses import replace
 
 import pytest
@@ -30,10 +32,11 @@ from leechlab.search import (
     Mode,
     SearchConfig,
     Status,
-    _compile_head,
     _corpus_row,
+    _node_step,
     _Prepared,
     _search_single,
+    _step_code,
     census_corpus,
     search,
     search_family_presets,
@@ -267,12 +270,26 @@ class TestDeterminism:
         out = search(cycle(10), SearchConfig(max_label=13, node_limit=1000), workers=2)
         assert (out.status, out.nodes_explored) == (Status.NODE_LIMIT, 1000)
 
-    def test_prism_stops_early_at_two_workers(self):
-        # one worker finds the prism's witness at node 1,086; a job running
-        # beside it sees the witness at its next check, every 4,096 nodes.
-        # Without the early stop, first label 2 ran on to 17,246 more nodes
-        counts = [search(prism(), workers=2).nodes_explored for _ in range(5)]
-        assert min(counts) <= 1086 + 4096
+    def test_prism_stops_early_at_two_workers(self, monkeypatch):
+        # one worker finds the prism's witness at node 1,086; in a pool, a
+        # job running beside it sees the witness at its next check, every
+        # 4,096 nodes, so its count depends on how the workers start
+        one = search(prism())
+        pooled = search(prism(), workers=2)
+        assert (pooled.status, pooled.witnesses) == (Status.FOUND, one.witnesses)
+
+        def in_order(fn, jobs, workers, initializer=None, initargs=()):
+            initializer(*initargs)
+            return map(fn, jobs)
+
+        # run the jobs one after another in this process: first label 2's job
+        # starts after label 1's witness and is skipped, where without the
+        # early stop it ran on for 17,246 more nodes
+        module = importlib.import_module("leechlab.search")
+        monkeypatch.setattr(module, "_job", None)
+        monkeypatch.setattr(module, "_pool_map", in_order)
+        out = search(prism(), workers=2)
+        assert (out.status, out.nodes_explored, out.witnesses) == (Status.FOUND, 1086, one.witnesses)
 
     def test_job_stops_at_its_first_check_after_a_smaller_label_finds(self):
         from multiprocessing import Value
@@ -361,6 +378,27 @@ class TestLimits:
         out = search(cycle(10), SearchConfig(max_label=31, time_limit=0.3), workers=2)
         assert out.status is Status.TIMED_OUT
         assert out.elapsed < 1.5
+
+    def test_every_node_limit_on_the_prism(self):
+        # the prism finds its witness at node 1,086: every smaller limit stops
+        # at exactly its node, and no pruning count falls as the limit grows.
+        # The unlimited search first leaves the unchecked steps in the memo
+        g, before = prism(), {}
+        assert search(g).nodes_explored == 1086
+        for n in range(1, 1086):
+            out = search(g, SearchConfig(node_limit=n))
+            assert (out.status, out.nodes_explored) == (Status.NODE_LIMIT, n)
+            assert all(out.pruning_stats.get(rule, 0) >= before.get(rule, 0) for rule in ALL_RULES), n
+            before = out.pruning_stats
+
+    def test_node_limits_around_the_check_cadence(self):
+        # limits at, just before and just past the 4,096-node check points
+        g, before = cycle(10), {}
+        for n in (4095, 4096, 4097, 8191, 8192, 8193):
+            out = search(g, SearchConfig(max_label=15, node_limit=n))
+            assert (out.status, out.nodes_explored) == (Status.NODE_LIMIT, n)
+            assert all(out.pruning_stats.get(rule, 0) >= before.get(rule, 0) for rule in ALL_RULES), n
+            before = out.pruning_stats
 
     @pytest.mark.parametrize(
         "g,cfg,disabled",
@@ -731,64 +769,146 @@ class TestCensusCorpus:
         assert (rows[2].n, rows[2].m, rows[2].t_gp) == (1, 0, 0)
 
 
-def plain_head(group, labels, wmask, exact):
-    """What a compiled head returns, one geodesic at a time: each base as the
-    sum of its other edges' labels, the union of the weight set shifted down
-    by each base, a bit per base, and the highest weight floor less its base.
-    The bases come back sorted, where the head must hand them over."""
+# the cells a node step counts in, and the pruning_stats key of each
+STEP_COUNTS = {
+    "nodes": "nodes", "distinct": "distinct_label", "rejected": "weight_duplicate", "cut_gcd": "sum_divisibility",
+    "cut_sum": "sum_bound", "cut_wbound": "weight_bound", "cut_window": "complement_window", "cut_symmetry": "symmetry",
+}
+
+
+def plain_step(prep, d, labels, state, first_mask):
+    """What depth d's node step does, one rule and one candidate label at a
+    time: the counts it adds, keyed as pruning_stats plus "nodes", and the
+    label and state (wsum, psum, dups, wmask, lmask) it hands each child."""
+    rules, t, counts = prep.rules, prep.t, {}
+
+    def add(key, n=1):
+        if n:
+            counts[key] = counts.get(key, 0) + n
+
+    gcd = prep.suffix_gcd[d] if "sum_divisibility" in rules else 1
+    if (prep.weighted_hi - state["wsum"]) % gcd > prep.weighted_hi - prep.weighted_lo:
+        return {"sum_divisibility": 1}, []
+    if "sum_bound" in rules:
+        wmin, wmax, pmin, pmax = prep.suffix_sums[d]
+        inside = prep.weighted_lo - wmax <= state["wsum"] <= prep.weighted_hi - wmin
+        if prep.plain_lo is not None:
+            inside = inside and prep.plain_lo - pmax <= state["psum"] <= prep.plain_hi - pmin
+        if not inside:
+            return {"sum_bound": 1}, []
+    group = prep.completed_at[d]
     bases = [sum(map(labels.__getitem__, others)) for others, _ in group]
-    any_hit = basebits = 0
-    vlo = 1
-    for (_, floor), base in zip(group, bases):
-        any_hit |= wmask >> base
-        basebits |= 1 << base
-        vlo = max(vlo, floor - base)
-    if exact or len(set(bases)) < len(bases):
-        return 0, sorted(bases), basebits, vlo
-    return any_hit, None, basebits, vlo
+    hi = prep.max_label
+    if "weight_bound" in rules and t - max(bases) < hi:
+        add("weight_bound", hi - (t - max(bases)))
+        hi = t - max(bases)
+    lo = max([1] + [floor - base for (_, floor), base in zip(group, bases)])
+    add("complement_window", lo - 1)
+    for e in prep.symmetry[d]:
+        if labels[e] > lo:
+            add("symmetry", labels[e] - lo)
+            lo = labels[e]
+    children = []
+    for v in range(lo, hi + 1):
+        if d == 0 and not first_mask >> v & 1:
+            continue
+        if prep.leech and "distinct_label" in rules and state["lmask"] >> v & 1:
+            add("distinct_label")
+            continue
+        add("nodes")
+        weights = [base + v for base in bases]
+        # a weight collides with an earlier geodesic's or, repeated at this
+        # node, with its first copy; weights above t are never recorded
+        hits = sum(w <= t and (state["wmask"] >> w & 1 or w in weights[:i]) for i, w in enumerate(weights))
+        if "weight_duplicate" in rules and hits > (0 if prep.leech else 1) - state["dups"]:
+            add("weight_duplicate")
+            continue
+        children.append((v, {
+            "wsum": state["wsum"] + prep.k_by_depth[d] * v, "psum": state["psum"] + v,
+            "dups": state["dups"] + (hits > 0) * ("weight_duplicate" in rules),
+            "wmask": state["wmask"] | sum(1 << w for w in set(weights) if w <= t), "lmask": state["lmask"] | 1 << v,
+        }))
+    return counts, children
 
 
-class TestCompiledHead:
-    def check_heads(self, prep, rng, trials, top):
-        """Every depth's compiled head against plain_head on random labels
-        1..top for the edges placed before it and random weight sets."""
-        for d, group in enumerate(prep.completed_at):
-            head = _compile_head(group)
+def run_step(prep, d, checked, labels, state, first_mask):
+    """Depth d's generated node step on fresh cells, with a recording stub as
+    the next depth: the counts it adds and the label and state of each child."""
+    cells = {name: types.CellType(0) for name in STEP_COUNTS}
+    calls = []
+    stub = types.CellType(lambda *args: calls.append((list.__getitem__(labels, prep.order[d]), args)))
+    step = _node_step(prep, d, checked, {
+        **cells, "labels": types.CellType(labels), "due": types.CellType(math.inf),
+        "count_singly": types.CellType(None), "FIRST": types.CellType(first_mask), "nxt": stub,
+    })
+    params = step.__code__.co_varnames[:step.__code__.co_argcount]
+    step(*(state[p] for p in params))
+    counts = {STEP_COUNTS[name]: cell.cell_contents for name, cell in cells.items() if cell.cell_contents}
+    return counts, [(v, dict(zip(params, args))) for v, args in calls], params
+
+
+class TestNodeStep:
+    def check_steps(self, prep, rng, trials, top):
+        """Every depth's node step against plain_step, at both counting paths,
+        on random labels 1..top for the edges placed before it, weighted and
+        plain sums near the depth's windows, and random weight and label sets."""
+        for d in range(prep.m):
+            gcd = prep.suffix_gcd[d]
+            wmin, wmax, pmin, pmax = prep.suffix_sums[d]
             for _ in range(trials):
                 labels = [0] * prep.m
                 for e in prep.order[:d]:
                     labels[e] = rng.randint(1, top)
-                wmask = rng.getrandbits(prep.t + 1)
-                for exact in (False, True):
-                    any_hit, bases, basebits, vlo = head(labels, wmask, exact)
-                    got = any_hit, None if bases is None else sorted(bases), basebits, vlo
-                    assert got == plain_head(group, labels, wmask, exact), (prep.order, d, labels)
+                wsum = rng.randint(prep.weighted_lo - wmax - 2, prep.weighted_hi - wmin + 2)
+                if rng.random() < 0.75:  # mostly past the divisibility test
+                    wsum += (prep.weighted_hi - wsum) % gcd
+                psum = sum(labels)
+                if prep.plain_lo is not None and rng.random() < 0.75:
+                    psum = rng.randint(prep.plain_lo - pmax - 1, prep.plain_hi - pmin + 1)
+                state = {
+                    "wsum": wsum, "psum": psum, "dups": 0 if prep.leech else rng.randint(0, 1),
+                    "wmask": rng.getrandbits(prep.t + 1), "lmask": rng.getrandbits(prep.max_label + 1),
+                }
+                first_mask = rng.getrandbits(prep.max_label + 1)
+                counts, children = plain_step(prep, d, labels, state, first_mask)
+                for checked in (False, True):
+                    got, calls, params = run_step(prep, d, checked, list(labels), state, first_mask)
+                    want = [(v, {p: child[p] for p in params}) for v, child in children]
+                    assert (got, calls) == (counts, want), (prep.order, d, labels, state, checked)
 
-    def test_matches_plain_loop_on_the_atlas(self):
+    def test_matches_plain_step_on_the_atlas(self):
         # every graph on up to 6 vertices that has an edge, in both modes;
         # labels up to 3 make bases repeat, labels up to max_label spread them
         nx = pytest.importorskip("networkx")
-        rng = random.Random(18)
+        rng = random.Random(19)
         for a in nx.graph_atlas_g():
             if a.number_of_edges() and a.number_of_nodes() <= 6:
                 g = build_graph(a.number_of_nodes(), list(a.edges()))
                 for mode in Mode:
                     prep = _Prepared(g, SearchConfig(mode=mode), True, ())
-                    self.check_heads(prep, rng, 3, 3)
-                    self.check_heads(prep, rng, 3, prep.max_label)
+                    self.check_steps(prep, rng, 3, 3)
+                    self.check_steps(prep, rng, 3, prep.max_label)
 
     @pytest.mark.parametrize("n, forced", [(8, 60), (10, None)])
-    def test_matches_plain_loop_under_complement_floors(self, n, forced):
+    def test_matches_plain_step_under_complement_floors(self, n, forced):
         # a forced label sum on an even cycle (C10 derives 85) raises the
         # weight floor of each half
         prep = _Prepared(cycle(n), SearchConfig(forced_label_sum=forced), True, ())
         assert prep.forced_sum is not None
         assert any(floor > 1 for group in prep.completed_at for _, floor in group)
-        self.check_heads(prep, random.Random(n), 200, prep.max_label)
+        self.check_steps(prep, random.Random(n), 200, prep.max_label)
+
+    def test_matches_plain_step_with_rules_off(self):
+        # each rule off changes the generated step: its test, count or argument goes
+        rng = random.Random(7)
+        for rule in ALL_RULES:
+            for g, mode in ((cycle(8), Mode.LEECH), (wheel(5), Mode.LEECH), (wheel(5), Mode.ALMOST)):
+                prep = _Prepared(g, SearchConfig(mode=mode), True, (rule,))
+                self.check_steps(prep, rng, 20, prep.max_label)
 
     def test_source_grows_one_label_per_geodesic(self):
         # each base is a named base plus one label, never a sum of all its
-        # edges, so a head reads one label per geodesic longer than its edge
+        # edges, so a step reads one label per geodesic longer than its edge
         class CountingLabels(list):
             reads = 0
 
@@ -796,25 +916,26 @@ class TestCompiledHead:
                 CountingLabels.reads += 1
                 return list.__getitem__(self, i)
 
-        prep = _Prepared(cycle(40), SearchConfig(), True, ())
-        for group in prep.completed_at:
+        prep = _Prepared(cycle(40), SearchConfig(), True, ("sum_bound", "sum_divisibility", "symmetry"))
+        state = dict.fromkeys(("wsum", "psum", "dups", "wmask", "lmask"), 0)
+        for d, group in enumerate(prep.completed_at):
             CountingLabels.reads = 0
-            _compile_head(group)(CountingLabels([1] * prep.m), 0, False)
+            run_step(prep, d, False, CountingLabels([1] * prep.m), state, 1 << 1)
             assert CountingLabels.reads == len([o for o, _ in group if o])
 
     def test_root_probe_compiles_nothing_past_the_root(self, monkeypatch):
         module = importlib.import_module("leechlab.search")
-        compiled = []
-        real = module._compile_head
-        monkeypatch.setattr(module, "_compile_head", lambda group: compiled.append(group) or real(group))
+        built = []
+        real = module._node_step
+        monkeypatch.setattr(module, "_node_step", lambda prep, d, *rest: built.append(d) or real(prep, d, *rest))
         prep = _Prepared(cycle(10), SearchConfig(max_label=15), True, ())
         status, witnesses, nodes, _ = _search_single(prep, ())
         assert (status, witnesses, nodes) == (Status.EXHAUSTED_NONE, [], 0)
-        assert compiled in ([], [prep.completed_at[0]])
-        # a whole search compiles each depth it reaches once
-        compiled.clear()
+        assert built == [0]
+        # a whole search builds each depth it reaches once
+        built.clear()
         _search_single(prep, range(1, 16))
-        assert sorted(map(prep.completed_at.index, compiled)) == list(range(prep.m))
+        assert sorted(built) == list(range(prep.m))
 
     def test_prepared_pickles(self):
         # pool start methods other than fork pickle the pool's initargs, so
@@ -822,3 +943,47 @@ class TestCompiledHead:
         prep = _Prepared(cycle(10), SearchConfig(max_label=15), True, ())
         copy = pickle.loads(pickle.dumps(prep))
         assert _search_single(copy, range(1, 16)) == _search_single(prep, range(1, 16))
+
+
+class TestStepMemo:
+    def count_builds(self, monkeypatch):
+        """Empty the memo and record the depth of every node step built."""
+        module = importlib.import_module("leechlab.search")
+        built = []
+        real = module._node_step
+        monkeypatch.setattr(module, "_node_step", lambda prep, d, *rest: built.append(d) or real(prep, d, *rest))
+        _step_code.cache_clear()
+        return built
+
+    def test_second_search_compiles_nothing(self):
+        search(cycle(10), SearchConfig(max_label=15))
+        misses = _step_code.cache_info().misses
+        out = search(cycle(10), SearchConfig(max_label=15))
+        assert out.nodes_explored == 910748
+        assert _step_code.cache_info().misses == misses
+
+    def test_first_label_jobs_compile_each_shape_once(self, monkeypatch):
+        from multiprocessing import Value
+
+        # C10's 15 first-label jobs, one after another as one worker runs
+        # them: each depth shape compiles once, however many jobs reach it
+        built = self.count_builds(monkeypatch)
+        prep = _Prepared(cycle(10), SearchConfig(max_label=15), True, ())
+        found = Value("i", prep.max_label + 1)
+        nodes = sum(_search_single(prep, (v,), found)[2] for v in range(1, 16))
+        assert nodes == 910748
+        assert len(built) == 100  # 15 jobs, each building the depths it reaches
+        assert _step_code.cache_info().misses == 6
+
+    def test_order6_census_shares_code_across_rows(self, monkeypatch):
+        # all 112 connected graphs on 6 vertices, both searches of each row
+        nx = pytest.importorskip("networkx")
+        graphs = [
+            build_graph(6, list(a.edges()))
+            for a in nx.graph_atlas_g()
+            if a.number_of_nodes() == 6 and nx.is_connected(a)
+        ]
+        built = self.count_builds(monkeypatch)
+        rows = list(census_corpus(graphs))
+        assert len(rows) == 112
+        assert _step_code.cache_info().misses < len(built) / 2
