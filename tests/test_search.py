@@ -36,6 +36,7 @@ from leechlab.search import (
     _node_step,
     _Prepared,
     _search_single,
+    _Stop,
     _step_code,
     census_corpus,
     search,
@@ -108,6 +109,18 @@ class TestOracleEquivalence:
     def test_solver_matches_naive(self, make, mode):
         g = make()
         assert search(g, SearchConfig(mode=mode)).status is naive_status(g, mode)
+
+    def test_leech_trees_match_taylors_theorem(self):
+        # Taylor: both trees on 4 vertices and exactly one on 6 are Leech
+        # trees; none on 5, 7 or 8 vertices is (a tree's geodesics are all
+        # its paths, so geodesic Leech is Leech there)
+        nx = pytest.importorskip("networkx")
+        found = {}
+        for n in range(4, 9):
+            statuses = [search(build_graph(n, list(tree.edges()))).status for tree in nx.nonisomorphic_trees(n)]
+            assert set(statuses) <= {Status.FOUND, Status.EXHAUSTED_NONE}
+            found[n] = statuses.count(Status.FOUND)
+        assert found == {4: 2, 5: 0, 6: 1, 7: 0, 8: 0}
 
 
 class TestFindAll:
@@ -272,8 +285,8 @@ class TestDeterminism:
 
     def test_prism_stops_early_at_two_workers(self, monkeypatch):
         # one worker finds the prism's witness at node 1,086; in a pool, a
-        # job running beside it sees the witness at its next check, every
-        # 4,096 nodes, so its count depends on how the workers start
+        # job running beside it sees the witness at its next poll, about
+        # every 4,096 nodes, so its count depends on how the workers start
         one = search(prism())
         pooled = search(prism(), workers=2)
         assert (pooled.status, pooled.witnesses) == (Status.FOUND, one.witnesses)
@@ -312,8 +325,14 @@ class TestDeterminism:
                 self.reads += 1
                 return prep.max_label + 1 if self.reads == 1 else 1
 
-        status, witnesses, nodes, _ = _search_single(prep, (2,), FoundAfterStart())
-        assert (status, witnesses, nodes) == (None, [], 4096)
+        # the root step polls at node 0, and the next poll falls due at 4,096
+        # counted nodes, on entry to a node step; the steps above it take
+        # back what they counted past the survivors they were in, so the job
+        # counts what the same job stopped by a node limit at its node counts
+        status, witnesses, nodes, stats = _search_single(prep, (2,), FoundAfterStart())
+        assert (status, witnesses, nodes) == (None, [], 4049)
+        limited = _Prepared(prism(), SearchConfig(node_limit=nodes), True, ())
+        assert _search_single(limited, (2,)) == (Status.NODE_LIMIT, [], nodes, stats)
 
     def test_one_worker_starts_no_pool(self):
         import subprocess
@@ -391,8 +410,28 @@ class TestLimits:
             assert all(out.pruning_stats.get(rule, 0) >= before.get(rule, 0) for rule in ALL_RULES), n
             before = out.pruning_stats
 
+    @pytest.mark.parametrize(
+        "make,cfg",
+        [
+            (lambda: cycle(10), SearchConfig(max_label=31, time_limit=0.05)),
+            (lambda: wheel(7), SearchConfig(mode=Mode.ALMOST, find_all=True, time_limit=0.05)),
+            # a node limit out of reach: the step counts stretch by stretch and polls
+            (lambda: cycle(10), SearchConfig(max_label=31, time_limit=0.05, node_limit=10**9)),
+        ],
+        ids=["C10-31", "W7-almost-all", "C10-31-limited"],
+    )
+    def test_timed_out_search_counts_exactly(self, make, cfg):
+        # a search stopped by its deadline counts what the same search
+        # stopped by a node limit at the same node counts
+        timed = search(make(), cfg)
+        n = timed.nodes_explored
+        assert timed.status is Status.TIMED_OUT and n > 0
+        limited = search(make(), replace(cfg, time_limit=None, node_limit=n))
+        assert (limited.status, limited.nodes_explored) == (Status.NODE_LIMIT, n)
+        assert (limited.pruning_stats, limited.witnesses) == (timed.pruning_stats, timed.witnesses)
+
     def test_node_limits_around_the_check_cadence(self):
-        # limits at, just before and just past the 4,096-node check points
+        # limits at, just before and just past multiples of 4,096 nodes
         g, before = cycle(10), {}
         for n in (4095, 4096, 4097, 8191, 8192, 8193):
             out = search(g, SearchConfig(max_label=15, node_limit=n))
@@ -831,18 +870,27 @@ def plain_step(prep, d, labels, state, first_mask):
     return counts, children
 
 
-def run_step(prep, d, checked, labels, state, first_mask):
+def run_step(prep, d, checked, polled, labels, state, first_mask, due=math.inf):
     """Depth d's generated node step on fresh cells, with a recording stub as
-    the next depth: the counts it adds and the label and state of each child."""
+    the next depth, no node limit, and a poll, due at node due, that stops
+    the search: the counts it adds and the label and state of each child."""
     cells = {name: types.CellType(0) for name in STEP_COUNTS}
     calls = []
     stub = types.CellType(lambda *args: calls.append((list.__getitem__(labels, prep.order[d]), args)))
-    step = _node_step(prep, d, checked, {
-        **cells, "labels": types.CellType(labels), "due": types.CellType(math.inf),
-        "count_singly": types.CellType(None), "FIRST": types.CellType(first_mask), "nxt": stub,
+
+    def poll():
+        raise _Stop(None)
+
+    step = _node_step(prep, d, checked, polled, {
+        **cells, "labels": types.CellType(labels), "due": types.CellType(due), "poll": types.CellType(poll),
+        "node_limit": types.CellType(math.inf), "count_singly": types.CellType(None),
+        "FIRST": types.CellType(first_mask), "nxt": stub,
     })
     params = step.__code__.co_varnames[:step.__code__.co_argcount]
-    step(*(state[p] for p in params))
+    try:
+        step(*(state[p] for p in params))
+    except _Stop:
+        pass
     counts = {STEP_COUNTS[name]: cell.cell_contents for name, cell in cells.items() if cell.cell_contents}
     return counts, [(v, dict(zip(params, args))) for v, args in calls], params
 
@@ -850,7 +898,7 @@ def run_step(prep, d, checked, labels, state, first_mask):
 class TestNodeStep:
     def check_steps(self, prep, rng, trials, top):
         """Every depth's node step against plain_step, at both counting paths,
-        on random labels 1..top for the edges placed before it, weighted and
+        polled or not, on random labels 1..top for the edges placed before it, weighted and
         plain sums near the depth's windows, and random weight and label sets."""
         for d in range(prep.m):
             gcd = prep.suffix_gcd[d]
@@ -871,10 +919,14 @@ class TestNodeStep:
                 }
                 first_mask = rng.getrandbits(prep.max_label + 1)
                 counts, children = plain_step(prep, d, labels, state, first_mask)
-                for checked in (False, True):
-                    got, calls, params = run_step(prep, d, checked, list(labels), state, first_mask)
+                for checked, polled in itertools.product((False, True), repeat=2):
+                    got, calls, params = run_step(prep, d, checked, polled, list(labels), state, first_mask)
                     want = [(v, {p: child[p] for p in params}) for v, child in children]
-                    assert (got, calls) == (counts, want), (prep.order, d, labels, state, checked)
+                    assert (got, calls) == (counts, want), (prep.order, d, labels, state, checked, polled)
+                    if polled:
+                        # a poll that falls due stops the step before it counts anything
+                        got, calls, _ = run_step(prep, d, checked, polled, list(labels), state, first_mask, due=0)
+                        assert (got, calls) == ({}, []), (prep.order, d, labels, state, checked)
 
     def test_matches_plain_step_on_the_atlas(self):
         # every graph on up to 6 vertices that has an edge, in both modes;
@@ -920,7 +972,7 @@ class TestNodeStep:
         state = dict.fromkeys(("wsum", "psum", "dups", "wmask", "lmask"), 0)
         for d, group in enumerate(prep.completed_at):
             CountingLabels.reads = 0
-            run_step(prep, d, False, CountingLabels([1] * prep.m), state, 1 << 1)
+            run_step(prep, d, False, False, CountingLabels([1] * prep.m), state, 1 << 1)
             assert CountingLabels.reads == len([o for o, _ in group if o])
 
     def test_root_probe_compiles_nothing_past_the_root(self, monkeypatch):
