@@ -3,10 +3,11 @@
 A geodesic is a path whose length equals the distance between its endpoints;
 single edges are geodesics of length 1, single vertices are not geodesics.
 Enumeration is the ground truth every closed-form count in this package is
-checked against, so it is deliberately simple, and _walk alone does it: per
-source, a BFS, then one depth-first walk down the BFS layers that makes each
-geodesic a node of a path trie. Paths, census and weights are read off it,
-and a one-entry memo keeps the last graph's walk for the next call on it.
+checked against, so it is deliberately simple, and _walk alone does it: each
+source u builds a path trie of the geodesics from u to the vertices above u,
+a BFS layer at a time, with a node for each such geodesic and for each of
+their prefixes, and no other. Paths, census and weights are read off it, and
+a one-entry memo keeps the last graph's walk for the next call on it.
 """
 
 from __future__ import annotations
@@ -157,8 +158,7 @@ def distances(g: Graph, source: int) -> list:
 def _bfs(adj, source: int, dist: list) -> list[int]:
     """Write the distances from source into dist, which must hold INFINITY at
     every vertex it reaches, and return those vertices in the order BFS
-    reached them, which is by distance. No other entry changes, so resetting
-    just these readies dist for the next source."""
+    reached them, which is by distance."""
     dist[source] = 0
     order = [source]
     for x in order:  # the list grows as it is read: it is the BFS queue
@@ -172,31 +172,59 @@ def _bfs(adj, source: int, dist: list) -> list[int]:
 
 @functools.lru_cache(maxsize=1)  # census, classify and search share one graph's walk
 def _walk(g: Graph) -> tuple[tuple[int, tuple[tuple[int, int, int, int], ...]], ...]:
-    """The geodesics from each source u, as (u, trie) tuples in order of u.
+    """The geodesics that each source u owns, as (u, trie) tuples in order of u.
 
-    trie[0] = (u, -1, -1, 0) is the empty path; each later node (x, parent,
-    eid, length) is node parent extended by edge eid to x. Each step goes one
-    BFS layer of u further, so every path walked is a geodesic; taking edges
-    by ascending id walks them in lexicographic order. The nodes with x > u
-    are g's geodesics, each once. A source costs time in its component only.
+    u owns the geodesics from u to the vertices x > u, so each geodesic of g
+    is owned once. trie[0] = (u, -1, -1, 0) is the empty path; each later
+    node (x, parent, eid, length) is node parent extended by edge eid to x,
+    and the nodes are exactly the prefixes of u's geodesics: the nodes with
+    x > u are those geodesics, and every other node but the root lies on one.
+
+    Per source, one BFS records each reached vertex's next layer, the
+    (vertex, edge id) pairs one step further from u, in ascending edge id. A
+    pass back over the BFS order keeps the vertices above u and those with a
+    kept vertex in their next layer. The trie then grows breadth first over
+    kept vertices only: a layer's paths all have one length, so taking edges
+    by ascending id leaves each layer in lexicographic order. Distances and
+    kept marks are stamped with u in arrays made once per graph, so a source
+    costs time in its component only.
     """
-    # (neighbor, edge id) pairs by descending edge id: popped ascending
-    down = [sorted(a, key=lambda p: p[1], reverse=True) for a in g._adj]
-    dist = [INFINITY] * g.vertex_count
+    n = g.vertex_count
+    adj = [sorted(a, key=lambda p: p[1]) for a in g._adj]  # by edge id
+    dist = [-1] * n  # u * n + distance once reached from u: below u * n is unreached
+    kept = [-1] * n  # u once kept for u
+    step = [None] * n  # the next layer of each vertex reached from u
     walk = []
-    for u in range(g.vertex_count):
-        reached = _bfs(g._adj, u, dist)
-        trie, stack = [], [(u, -1, -1, 0)]
-        while stack:
-            x, _, _, length = node = stack.pop()
-            i, dw = len(trie), length + 1
-            trie.append(node)
-            for w, eid in down[x]:
-                if dist[w] == dw:
-                    stack.append((w, i, eid, dw))
+    for u in range(n):
+        base = dist[u] = u * n
+        order = [u]
+        for x in order:  # the list grows as it is read: it is the BFS queue
+            dw = dist[x] + 1
+            step[x] = nxt = []
+            for p in adj[x]:
+                w = p[0]
+                d = dist[w]
+                if d < base:
+                    dist[w] = dw
+                    order.append(w)
+                    nxt.append(p)
+                    if w > u:
+                        kept[w] = u
+                elif d == dw:
+                    nxt.append(p)
+        for x in reversed(order):  # a next layer is decided before its vertex
+            if kept[x] != u:
+                for w, _ in step[x]:
+                    if kept[w] == u:
+                        kept[x] = u
+                        break
+        trie = [(u, -1, -1, 0)]
+        for i, (x, _, _, length) in enumerate(trie):  # read as it grows, layer by layer
+            dw = length + 1
+            for w, eid in step[x]:
+                if kept[w] == u:
+                    trie.append((w, i, eid, dw))
         walk.append((u, tuple(trie)))
-        for x in reached:
-            dist[x] = INFINITY
     return tuple(walk)
 
 
@@ -229,6 +257,7 @@ def count_geodesics(g: Graph) -> int:
     cross-check of len(enumerate_geodesics(g)).
     """
     total = 0
+    nbrs = [[w for w, _ in a] for a in g._adj]
     dist = [-1] * g.vertex_count  # -1: not reached yet from this source
     ways = [0] * g.vertex_count
     for u in range(g.vertex_count):
@@ -236,7 +265,7 @@ def count_geodesics(g: Graph) -> int:
         order = [u]
         for x in order:  # the list grows as it is read: it is the BFS queue
             dw, wx = dist[x] + 1, ways[x]
-            for w, _ in g._adj[x]:
+            for w in nbrs[x]:
                 d = dist[w]
                 if d < 0:
                     dist[w], ways[w] = dw, wx

@@ -272,41 +272,101 @@ class TestRandomGraphOracle:
             assert count_geodesics(g) == len(enumerate_geodesics(g))
 
 
+def assert_matches_networkx(nx, g):
+    """The geodesics of g are exactly networkx's shortest paths between
+    connected pairs, once each, in enumerate_geodesics' order; and the census
+    and the classifier's weights, for labels 1..m and that labeling rotated by
+    one, are those recomputed from networkx's paths."""
+    h = nx.Graph()
+    h.add_nodes_from(range(g.vertex_count))
+    h.add_edges_from(g.edges)
+    expected = []
+    diameter = 0
+    for u in h:
+        for v, d in nx.single_source_shortest_path_length(h, u).items():
+            diameter = max(diameter, d)
+            if v > u:
+                for walk in nx.all_shortest_paths(h, u, v):
+                    expected.append(((u, v), tuple(map(g.edge_id, walk, walk[1:]))))
+    got = [(p.endpoints, p.edge_ids) for p in enumerate_geodesics(g)]
+    assert got == sorted(expected), g.edges
+
+    c = census(g)
+    per_edge = Counter(eid for _, eids in expected for eid in eids)
+    assert c.total == len(expected), g.edges
+    assert count_geodesics(g) == len(expected), g.edges
+    assert c.by_length == dict(Counter(len(eids) for _, eids in expected)), g.edges
+    assert list(c.by_length) == sorted(c.by_length), g.edges
+    assert c.per_edge == tuple(per_edge[eid] for eid in range(g.edge_count)), g.edges
+    assert c.diameter == diameter, g.edges
+    plain = list(range(1, g.edge_count + 1))
+    for labels in (plain, plain[1:] + plain[:1]):
+        weights = sorted(sum(labels[eid] for eid in eids) for _, eids in expected)
+        assert classify(g, labels).weight_multiset == tuple(weights), (g.edges, labels)
+
+
 def test_enumeration_matches_networkx_on_the_graph_atlas():
-    """Every graph of at most 7 vertices: the geodesics are exactly
-    networkx's shortest paths between connected pairs, once each, sorted;
-    and the census and the classifier's weights, for labels 1..m and that
-    labeling rotated by one, are those recomputed from networkx's paths."""
+    """Every graph of at most 7 vertices."""
     nx = pytest.importorskip("networkx")
     atlas = nx.graph_atlas_g()
     assert len(atlas) == 1253
     for h in atlas:
-        g = build_graph(h.number_of_nodes(), list(h.edges()))
-        paths = enumerate_geodesics(g)
-        got = [(p.endpoints, p.edge_ids) for p in paths]
-        assert got == sorted(got), g.edges
-        assert len(set(got)) == len(got), g.edges
-        expected = set()
-        diameter = 0
-        for u in h:
-            for v, d in nx.single_source_shortest_path_length(h, u).items():
-                diameter = max(diameter, d)
-                if v > u:
-                    for walk in nx.all_shortest_paths(h, u, v):
-                        expected.add(((u, v), tuple(map(g.edge_id, walk, walk[1:]))))
-        assert set(got) == expected, g.edges
+        assert_matches_networkx(nx, build_graph(h.number_of_nodes(), list(h.edges())))
 
-        c = census(g)
-        per_edge = Counter(eid for _, eids in expected for eid in eids)
-        assert c.total == len(expected), g.edges
-        assert count_geodesics(g) == len(expected), g.edges
-        assert c.by_length == dict(Counter(len(eids) for _, eids in expected)), g.edges
-        assert c.per_edge == tuple(per_edge[eid] for eid in range(g.edge_count)), g.edges
-        assert c.diameter == diameter, g.edges
-        plain = list(range(1, g.edge_count + 1))
-        for labels in (plain, plain[1:] + plain[:1]):
-            weights = sorted(sum(labels[eid] for eid in eids) for _, eids in expected)
-            assert classify(g, labels).weight_multiset == tuple(weights), (g.edges, labels)
+
+def test_enumeration_matches_networkx_beyond_the_atlas():
+    """Larger graphs, where a vertex pair has several long geodesics and the
+    walk's layer order decides the order within the pair."""
+    nx = pytest.importorskip("networkx")
+    hs = [nx.convert_node_labels_to_integers(nx.hypercube_graph(3)), nx.petersen_graph()]
+    hs += [
+        nx.gnp_random_graph(n, p, seed=seed)
+        for n, p, seed in [(8, 0.2, 1), (9, 0.3, 2), (10, 0.25, 3), (11, 0.4, 4), (12, 0.15, 5), (13, 0.3, 6)]
+    ]
+    assert sum(not nx.is_connected(h) for h in hs) == 3
+    graphs = [build_graph(h.number_of_nodes(), list(h.edges())) for h in hs]
+    graphs += [cycle(n) for n in range(8, 13)] + [wheel(8), complete_bipartite(4, 4)]
+    for g in graphs:
+        assert_matches_networkx(nx, g)
+
+
+def pruned_trie_nodes(g):
+    """The walk's trie nodes below the roots, after asserting that each trie
+    is breadth first with every leaf below its root an owned geodesic, so
+    that every node is a prefix of one, and that the owned nodes are the
+    geodesics counted without the walk."""
+    nodes = owned = 0
+    for u, trie in _walk(g):
+        parents = {p for _, p, _, _ in trie}
+        for i, (x, p, _, length) in enumerate(trie[1:], 1):
+            assert 0 <= p < i and length == trie[p][3] + 1, (g.edges, u, i)
+            assert length >= trie[i - 1][3], (g.edges, u, i)
+            assert i in parents or x > u, (g.edges, u, i)
+            owned += x > u
+        nodes += len(trie) - 1
+    assert owned == census(g).total == count_geodesics(g), g.edges
+    return nodes
+
+
+class TestWalkPruning:
+    """Each source's trie holds the prefixes of the geodesics it owns, and
+    nothing else."""
+
+    def test_family_tries_are_minimal(self):
+        graphs = [cycle(n) for n in range(3, 13)] + [wheel(n) for n in range(4, 10)]
+        graphs += [complete_bipartite(a, b) for a in range(1, 6) for b in range(1, 6)]
+        for g in graphs:
+            pruned_trie_nodes(g)
+
+    def test_atlas_tries_are_minimal(self):
+        nx = pytest.importorskip("networkx")
+        for h in nx.graph_atlas_g():
+            pruned_trie_nodes(build_graph(h.number_of_nodes(), list(h.edges())))
+
+    def test_pinned_node_totals(self):
+        # 50 and 125 geodesics; walked from both ends they took 100 and 250 nodes
+        assert pruned_trie_nodes(cycle(10)) == 60
+        assert pruned_trie_nodes(complete_bipartite(5, 5)) == 145
 
 
 def test_graph_is_picklable():

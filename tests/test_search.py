@@ -122,6 +122,65 @@ class TestOracleEquivalence:
             found[n] = statuses.count(Status.FOUND)
         assert found == {4: 2, 5: 0, 6: 1, 7: 0, 8: 0}
 
+    @pytest.mark.parametrize("line", ["E?Bw", "E`EG"], ids=["star_K1_5", "path_P6"])
+    def test_order6_neither_trees_against_brute_force(self, line):
+        # both have t = 15 and 5 edges; every weight of a Leech or almost
+        # labeling is at most t, so labels 1..15 cover both modes
+        nx = pytest.importorskip("networkx")
+        h = nx.from_graph6_bytes(line.encode())
+        assert any(nx.is_isomorphic(h, tree) for tree in (nx.star_graph(5), nx.path_graph(6)))
+        assert brute_force_hits(h) == (0, 0)
+        g = graph6_decode(line)
+        for mode in Mode:
+            assert search(g, SearchConfig(mode=mode)).status is Status.EXHAUSTED_NONE, mode
+
+    @pytest.mark.parametrize("make, n", [("star_graph", 3), ("path_graph", 4)])
+    def test_brute_force_counts_every_witness(self, make, n):
+        # the oracle above must see labelings where they exist: here it
+        # counts exactly the witnesses of a find_all search up to label t
+        nx = pytest.importorskip("networkx")
+        h = getattr(nx, make)(n)
+        g = build_graph(h.number_of_nodes(), list(h.edges()))
+        t = census(g).total
+        found = tuple(
+            len(search(g, SearchConfig(mode=mode, find_all=True, max_label=t)).witnesses)
+            for mode in (Mode.LEECH, Mode.ALMOST)
+        )
+        assert brute_force_hits(h) == found
+        assert min(found) > 0
+
+
+def brute_force_hits(h):
+    """(Leech, almost) counts among all t^m labelings of networkx graph h with
+    labels in 1..t, tested in numpy; the geodesics are networkx's shortest
+    paths, so nothing here rests on leechlab."""
+    np = pytest.importorskip("numpy")
+    nx = pytest.importorskip("networkx")
+    eid = {frozenset(e): i for i, e in enumerate(h.edges())}
+    rows = []
+    for u, v in itertools.combinations(sorted(h), 2):
+        if nx.has_path(h, u, v):
+            for walk in nx.all_shortest_paths(h, u, v):
+                row = [0] * len(eid)
+                for e in zip(walk, walk[1:]):
+                    row[eid[frozenset(e)]] = 1
+                rows.append(row)
+    uses = np.array(rows, dtype=np.int16).T  # (m, t): edge e lies on geodesic j
+    m, t = uses.shape
+    values = np.arange(1, t + 1, dtype=np.int16)
+    rest = np.stack(np.meshgrid(*[values] * (m - 1), indexing="ij"), -1).reshape(-1, m - 1)
+    leech = almost = 0
+    for first in values:  # one block per first label keeps memory small
+        labels = np.hstack([np.full((len(rest), 1), first, dtype=np.int16), rest])
+        weights = np.sort(labels @ uses, axis=1)
+        repeats = (np.diff(weights, axis=1) == 0).sum(axis=1)
+        # t weights in 1..t with no repeat are exactly 1..t; with one repeated
+        # pair they miss exactly one value of 1..t and double another
+        fits = weights[:, -1] <= t
+        leech += int((fits & (repeats == 0)).sum())
+        almost += int((fits & (repeats == 1)).sum())
+    return leech, almost
+
 
 class TestFindAll:
     def test_c4_witness_set_matches_brute_force(self):
