@@ -22,7 +22,14 @@ the edges before it (most first), then by edge id. It prunes with:
   symmetry            a later edge b may not carry a smaller label than an
                       edge a when an automorphism fixing every edge before a
                       maps a onto b (lex-leader constraints; off under
-                      find_all, so that the witness list stays complete)
+                      find_all, so that the witness list stays complete).
+                      When the automorphisms map the first edge onto every
+                      edge, its label is the least label, so the root takes
+                      label 1 alone (Leech) or labels up to 2 (almost). Some
+                      geodesic of a Leech labeling weighs 1, and only a
+                      single edge labeled 1 can. An almost labeling misses
+                      at most one of 1..t, so some geodesic weighs 1 or 2:
+                      an edge labeled 1 or 2, or two edges labeled 1
 
 Every rule only skips assignments that provably cannot reach a valid leaf,
 or, for symmetry, leaves that an automorphism maps onto one still searched,
@@ -34,13 +41,14 @@ every witness is re-verified through the classifier before it is returned.
 
 A node is one candidate label for the edge at some depth: a value inside the
 window left after the weight_bound, complement_window and symmetry floors
-that distinct_label does not reject. It counts whether or not its weights
-then collide (weight_duplicate). node_limit stops the search at its N-th node
-in search order, so such a search runs at one worker. Otherwise each first
-label is one job at workers > 1, handed in ascending order to whichever
-worker is idle; the jobs share one deadline, and unless find_all is set, a
-job stops once a smaller first label has found a witness, so the witness is
-the one a single worker finds first.
+(and, at the root, the symmetry cap) that distinct_label does not reject. It
+counts whether or not its weights then collide (weight_duplicate). node_limit
+stops the search at its N-th node in search order, so such a search runs at
+one worker. Otherwise each first label left is one job at workers > 1,
+handed in ascending order to whichever worker is idle; the jobs share one
+deadline, and unless find_all is set, a job stops once a smaller first label
+has found a witness, so the witness is the one a single worker finds first.
+A search left with one first label runs in this process, with no pool.
 
 The kernel keeps the used weights (bits 1..t) and the used labels as int
 bitsets and passes new ones down to each child, so nothing is undone on the
@@ -60,7 +68,7 @@ it, and the stretch the limit falls in one candidate at a time. Either way
 the counts are exact wherever the search stops. The deadline and the early
 stop are read in one place, about once every 4,096 nodes, on entry to a
 node step and before it counts anything.
-The C10 preset (labels up to 31) takes 6,054,843 nodes at one worker.
+The C10 preset (labels up to 31) takes 3,760,731 nodes at one worker.
 """
 
 from __future__ import annotations
@@ -134,13 +142,13 @@ class SearchOutcome:
     """What a search found and what it cost.
 
     nodes_explored counts candidate labels inside each depth's window (after
-    the weight_bound, complement_window and symmetry floors) that
-    distinct_label lets through, whether or not their weights then collide;
-    at workers > 1 it sums over the first-label jobs. A search with a
-    node_limit runs at one worker, so its outcome, elapsed aside, is the same
-    at every worker count. Unlimited searches return the same status and
-    witnesses at every worker count, and exhausted ones the same
-    nodes_explored and pruning_stats (the rules that cut anything, in
+    the weight_bound, complement_window and symmetry floors, and the root's
+    symmetry cap) that distinct_label lets through, whether or not their
+    weights then collide; at workers > 1 it sums over the first-label jobs.
+    A search with a node_limit runs at one worker, so its outcome, elapsed
+    aside, is the same at every worker count. Unlimited searches return the
+    same status and witnesses at every worker count, and exhausted ones the
+    same nodes_explored and pruning_stats (the rules that cut anything, in
     ALL_RULES order). max_label is the bound the search used, at most t_gp.
     """
 
@@ -194,7 +202,7 @@ class _Prepared:
         "mode", "paths", "t", "m", "order", "k_by_depth",
         "suffix_gcd", "suffix_sums", "max_label", "plain_lo", "plain_hi",
         "weighted_lo", "weighted_hi", "forced_sum", "completed_at", "rules",
-        "find_all", "deadline", "node_limit", "leech", "symmetry",
+        "find_all", "deadline", "node_limit", "leech", "symmetry", "first_labels",
     )
 
     def __init__(self, g: Graph, cfg: SearchConfig, derive_bounds: bool, disabled):
@@ -299,11 +307,17 @@ class _Prepared:
         # orbit of order[d] under the automorphisms fixing order[:d]; such a b
         # is never in order[:d], so it is assigned later and gets a floor
         floors: list[list[int]] = [[] for _ in range(self.m)]
+        self.first_labels = range(1, self.max_label + 1)
         if "symmetry" in self.rules and not self.find_all:
-            for d, orbit in enumerate(stabilizer_orbits(g, self.order)):
+            orbits = stabilizer_orbits(g, self.order)
+            for d, orbit in enumerate(orbits):
                 for b in orbit:
                     if b != self.order[d]:
                         floors[pos[b]].append(self.order[d])
+            # an orbit of every edge makes label(order[0]) the least label,
+            # which is 1 in a Leech labeling and at most 2 in an almost one
+            if len(orbits[0]) == self.m:
+                self.first_labels = range(1, min(1 if self.leech else 2, self.max_label) + 1)
         self.symmetry = [tuple(f) for f in floors]
         self.deadline = None if cfg.time_limit is None else time.monotonic() + cfg.time_limit
 
@@ -612,7 +626,8 @@ def search(
     """Run the labeling search and return its outcome.
 
     workers > 1 runs one job per first label, in ascending order, in a pool
-    of processes that share one deadline; node counts sum over the jobs.
+    of processes that share one deadline; node counts sum over the jobs. A
+    search left with one first label runs in this process.
     Without limits the status and witnesses are those of a single-worker
     run. A node_limit runs the search at one worker whatever workers says,
     so it stops at the same node. workers < 1 raises ConfigInvalidError.
@@ -630,7 +645,7 @@ def search(
     # per label as each goes idle, unless the root's sum bounds, the same for
     # every label, cut it: a search with no first label tests them once. A
     # node limit counts nodes in single-worker search order, so it gets one
-    values = range(1, prep.max_label + 1)
+    values = prep.first_labels
     workers = 1 if cfg.node_limit is not None else min(workers, len(values))
     results = [_search_single(prep, values if workers == 1 else ())]
     if workers > 1 and not results[0][3]["sum_bound"] + results[0][3]["sum_divisibility"]:
@@ -645,6 +660,10 @@ def search(
         witnesses = next((ws for _, ws, _, _ in results if ws), [])
     nodes = sum(n for _, _, n, _ in results)
     stats = {rule: sum(r[3][rule] for r in results) for rule in ALL_RULES}
+    if nodes:
+        # the root's window, labels 1..max_label, was reached: symmetry took
+        # the labels above first_labels out of it
+        stats["symmetry"] += prep.max_label - len(values)
     statuses = {r[0] for r in results}
     # a limit outranks the witnesses of find_all, whose list it cut short; a
     # job stopped by a smaller label's witness (None) lands in the first case

@@ -317,14 +317,15 @@ class TestDeterminism:
         [(lambda n=n: cycle(n), SearchConfig()) for n in range(5, 10)]
         + [
             (lambda: complete_bipartite(3, 3), SearchConfig()),
-            (lambda: cycle(10), SearchConfig(max_label=13)),
+            (lambda: cycle(10), SearchConfig(max_label=14)),
             (prism, SearchConfig(forced_label_sum=74)),
         ],
-        ids=["C5", "C6", "C7", "C8", "C9", "K33", "C10-13", "prism-74"],
+        ids=["C5", "C6", "C7", "C8", "C9", "K33", "C10-14", "prism-74"],
     )
     def test_exhausted_search_costs_the_same_at_every_worker_count(self, make, cfg):
         # C5-C9 and K3,3 are cut at the root by the sum bounds, which count
-        # once however many jobs there would be; the last two search a tree
+        # once however many jobs there would be; the last two search a tree,
+        # C10's under one first label and the prism's under all of them
         outs = [search(make(), cfg, workers=w) for w in (1, 2, 3)]
         assert {o.status for o in outs} == {Status.EXHAUSTED_NONE}
         assert len({o.nodes_explored for o in outs}) == 1
@@ -336,10 +337,11 @@ class TestDeterminism:
 
         # the package's search function hides its module of the same name
         monkeypatch.setattr(importlib.import_module("leechlab.search"), "_pool_map", no_pool)
-        out = search(cycle(7), workers=2)
+        # P5 is not edge-transitive, so it keeps all its first labels
+        out = search(path(5), workers=2)
         assert (out.nodes_explored, out.pruning_stats) == (0, {"sum_divisibility": 1})
         # nor does a node limit, which runs the search at one worker
-        out = search(cycle(10), SearchConfig(max_label=13, node_limit=1000), workers=2)
+        out = search(prism(), SearchConfig(node_limit=1000), workers=2)
         assert (out.status, out.nodes_explored) == (Status.NODE_LIMIT, 1000)
 
     def test_prism_stops_early_at_two_workers(self, monkeypatch):
@@ -435,12 +437,12 @@ class TestLimits:
         "make,cfg,status,nodes",
         [
             (lambda: cycle(10), SearchConfig(max_label=31, node_limit=5000), Status.NODE_LIMIT, 5000),
-            # the whole tree is 36,345 nodes
-            (lambda: cycle(10), SearchConfig(max_label=13, node_limit=36346), Status.EXHAUSTED_NONE, 36345),
+            # the whole tree is 138,315 nodes, over every first label
+            (prism, SearchConfig(forced_label_sum=74, node_limit=138316), Status.EXHAUSTED_NONE, 138315),
             # one worker finds the witness at node 15,531
             (lambda: wheel(6), SearchConfig(node_limit=16000), Status.FOUND, 15531),
         ],
-        ids=["C10-31", "C10-13", "W6"],
+        ids=["C10-31", "prism-74", "W6"],
     )
     def test_node_limit_applies_per_search(self, make, cfg, status, nodes):
         # a node-limited search runs at one worker whatever workers says, so
@@ -503,9 +505,9 @@ class TestLimits:
         [
             (cycle(5), SearchConfig(), ("sum_divisibility",)),
             (cycle(6), SearchConfig(), ("sum_divisibility",)),
-            (cycle(10), SearchConfig(max_label=13), ()),
+            (cycle(10), SearchConfig(max_label=14), ()),
         ],
-        ids=["C5", "C6", "C10-13"],
+        ids=["C5", "C6", "C10-14"],
     )
     def test_node_limit_at_and_past_an_exhausted_tree(self, g, cfg, disabled):
         # the limit stops the search at its N-th node, even the last one
@@ -681,6 +683,54 @@ class TestSymmetry:
         assert "symmetry" not in out.pruning_stats
         assert len(out.witnesses) == 8
 
+    @pytest.mark.parametrize("mode", [Mode.LEECH, Mode.ALMOST])
+    def test_root_label_cap_keeps_the_first_witness(self, mode):
+        # on every connected edge-transitive atlas graph the root edge takes
+        # only label 1 (Leech) or labels 1 and 2 (almost), and the search
+        # still ends as it does with symmetry off, at the same first witness
+        nx = pytest.importorskip("networkx")
+        graphs = [
+            g for g in (build_graph(a.number_of_nodes(), list(a.edges()))
+                        for a in nx.graph_atlas_g() if a.number_of_edges() and nx.is_connected(a))
+            if len(stabilizer_orbits(g, range(g.edge_count))[0]) == g.edge_count
+        ]
+        assert len(graphs) == 21
+        cap = 1 if mode is Mode.LEECH else 2
+        for g in graphs:
+            prep = _Prepared(g, SearchConfig(mode=mode), True, ())
+            assert prep.first_labels == range(1, min(cap, prep.max_label) + 1), g.edges
+            on = search(g, SearchConfig(mode=mode))
+            # the same floors with every first label: the search without the cap
+            prep.first_labels = range(1, prep.max_label + 1)
+            assert _search_single(prep, prep.first_labels)[:2] == (on.status, list(on.witnesses)), g.edges
+            # K2,5, the one graph on 7 vertices and 10 edges here, exhausts
+            # in Leech mode after 130,577,763 nodes with symmetry off (23 s)
+            if mode is Mode.LEECH and (g.vertex_count, g.edge_count) == (7, 10):
+                continue
+            off = search(g, SearchConfig(mode=mode), disabled_rules=("symmetry",))
+            assert (on.status, on.witnesses) == (off.status, off.witnesses), g.edges
+
+    def test_root_label_cap_counts_the_labels_it_removes(self):
+        # C10 with labels up to 13: the root's window is 1..13, symmetry takes
+        # 2..13 out of it, and the sum bound cuts the one node left
+        out = search(cycle(10), SearchConfig(max_label=13))
+        assert (out.status, out.nodes_explored) == (Status.EXHAUSTED_NONE, 1)
+        assert out.pruning_stats == {"sum_bound": 1, "symmetry": 12}
+        # a search cut at the root reaches no window and removes nothing
+        assert search(cycle(7)).pruning_stats == {"sum_divisibility": 1}
+
+    @pytest.mark.parametrize(
+        "g,cfg", [(cycle(10), SearchConfig(max_label=15)), (complete(4), SearchConfig())], ids=["C10-15", "K4"]
+    )
+    def test_one_first_label_starts_no_pool(self, monkeypatch, g, cfg):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool started")
+
+        one = search(g, cfg)
+        monkeypatch.setattr(importlib.import_module("leechlab.search"), "_pool_map", no_pool)
+        two = search(g, cfg, workers=2)
+        assert replace(two, elapsed=one.elapsed) == one
+
 
 def greedy_order(g):
     """The fail-first edge order, re-counted from scratch at each step: most
@@ -816,7 +866,8 @@ class TestCensusCorpus:
 
     def test_order6_census(self):
         # all 112 connected graphs on 6 vertices; 2,446,564 nodes when edge
-        # ties went by edge id alone, 662,630 in fail-first order
+        # ties went by edge id alone, 662,630 in fail-first order, 642,013
+        # with the root symmetry cap
         nx = pytest.importorskip("networkx")
         lines = [
             nx.to_graph6_bytes(a, header=False).decode().strip()
@@ -1070,7 +1121,7 @@ class TestStepMemo:
         search(cycle(10), SearchConfig(max_label=15))
         misses = _step_code.cache_info().misses
         out = search(cycle(10), SearchConfig(max_label=15))
-        assert out.nodes_explored == 910748
+        assert out.nodes_explored == 389699
         assert _step_code.cache_info().misses == misses
 
     def test_first_label_jobs_compile_each_shape_once(self, monkeypatch):

@@ -55,8 +55,10 @@ def _runs():
             for mode in Mode:
                 cfg = SearchConfig(mode=mode, node_limit=NODE_LIMIT)
                 yield name, by_name[name], cfg, (rule,), 1
-    # the first-label split at two workers
+    # two workers: C10 is edge-transitive, so its root takes label 1 alone
+    # and the search stays in this process; the prism's first labels split
     yield "C10", cycle(10), SearchConfig(max_label=15), (), 2
+    yield "prism", prism(), SearchConfig(forced_label_sum=74), (), 2
 
 
 def transcript() -> str:
@@ -119,7 +121,7 @@ def test_unlimited_searches_match_golden():
         }
         assert json.dumps(got) == json.dumps({key: line[key] for key in got}), (name, line["mode"], disabled)
         checked += 1
-    assert checked == 165
+    assert checked == 166
 
 
 if __name__ == "__main__":
