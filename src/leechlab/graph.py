@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import (
     DuplicateEdgeError,
@@ -278,9 +279,11 @@ def count_geodesics(g: Graph) -> int:
     return total // 2  # each pair was counted from both ends
 
 
-def stabilizer_orbits(g: Graph, order) -> list[tuple[int, ...]]:
-    """Entry d: the orbit of edge order[d] under the automorphisms of g that
-    map every edge of order[:d] onto itself (either way round), ascending.
+def stabilizer_orbits(g: Graph, order) -> Iterator[tuple[int, ...]]:
+    """Yield, for each edge order[d] as it is read, its orbit under the
+    automorphisms of g that map every edge of order[:d] onto itself (either
+    way round), ascending. order may be a list that grows as the orbits are
+    read, so an order can pick each edge knowing the orbits before it.
 
     Automorphisms are adjacency-preserving vertex maps, found one at a time
     by backtracking; the group itself is never listed. Each map found stays
@@ -293,17 +296,19 @@ def stabilizer_orbits(g: Graph, order) -> list[tuple[int, ...]]:
     edges = g.edges
     marks: list[tuple[int, ...]] = [()] * g.vertex_count
     found: list[tuple[int, ...]] = []  # edge permutations of the maps found
-    orbits: list[tuple[int, ...]] = []
+    rigid = False
     for d, e in enumerate(order):
-        if d:
-            prev = order[d - 1]
-            found = [p for p in found if p[prev] == prev]
-            for x in edges[prev]:
-                marks[x] += (d - 1,)
-        colors = _refine(nbrs, marks)
-        if len(set(colors)) == len(colors):
-            orbits.extend((x,) for x in order[d:])
-            break
+        if not rigid:
+            if d:
+                prev = order[d - 1]
+                found = [p for p in found if p[prev] == prev]
+                for x in edges[prev]:
+                    marks[x] += (d - 1,)
+            colors = _refine(nbrs, marks)
+            rigid = len(set(colors)) == len(colors)
+        if rigid:
+            yield (e,)
+            continue
         orbit = _close({e}, found)
         pair = sorted(colors[x] for x in edges[e])
         for c, ends in enumerate(edges):
@@ -313,8 +318,7 @@ def stabilizer_orbits(g: Graph, order) -> list[tuple[int, ...]]:
             if vmap is not None:
                 found.append(tuple(g.edge_id(vmap[a], vmap[b]) for a, b in edges))
                 orbit = _close(orbit, found)
-        orbits.append(tuple(sorted(orbit)))
-    return orbits
+        yield tuple(sorted(orbit))
 
 
 def _refine(nbrs, colors) -> list[int]:

@@ -341,11 +341,11 @@ class TestDeterminism:
         out = search(path(5), workers=2)
         assert (out.nodes_explored, out.pruning_stats) == (0, {"sum_divisibility": 1})
         # nor does a node limit, which runs the search at one worker
-        out = search(prism(), SearchConfig(node_limit=1000), workers=2)
+        out = search(prism(), SearchConfig(forced_label_sum=74, node_limit=1000), workers=2)
         assert (out.status, out.nodes_explored) == (Status.NODE_LIMIT, 1000)
 
     def test_prism_stops_early_at_two_workers(self, monkeypatch):
-        # one worker finds the prism's witness at node 1,086; in a pool, a
+        # one worker finds the prism's witness at node 252; in a pool, a
         # job running beside it sees the witness at its next poll, about
         # every 4,096 nodes, so its count depends on how the workers start
         one = search(prism())
@@ -358,12 +358,12 @@ class TestDeterminism:
 
         # run the jobs one after another in this process: first label 2's job
         # starts after label 1's witness and is skipped, where without the
-        # early stop it ran on for 17,246 more nodes
+        # early stop it ran on for 17,987 more nodes
         module = importlib.import_module("leechlab.search")
         monkeypatch.setattr(module, "_job", None)
         monkeypatch.setattr(module, "_pool_map", in_order)
         out = search(prism(), workers=2)
-        assert (out.status, out.nodes_explored, out.witnesses) == (Status.FOUND, 1086, one.witnesses)
+        assert (out.status, out.nodes_explored, out.witnesses) == (Status.FOUND, 252, one.witnesses)
 
     def test_job_stops_at_its_first_check_after_a_smaller_label_finds(self):
         from multiprocessing import Value
@@ -437,10 +437,10 @@ class TestLimits:
         "make,cfg,status,nodes",
         [
             (lambda: cycle(10), SearchConfig(max_label=31, node_limit=5000), Status.NODE_LIMIT, 5000),
-            # the whole tree is 138,315 nodes, over every first label
-            (prism, SearchConfig(forced_label_sum=74, node_limit=138316), Status.EXHAUSTED_NONE, 138315),
-            # one worker finds the witness at node 15,531
-            (lambda: wheel(6), SearchConfig(node_limit=16000), Status.FOUND, 15531),
+            # the whole tree is 136,052 nodes, over every first label
+            (prism, SearchConfig(forced_label_sum=74, node_limit=136053), Status.EXHAUSTED_NONE, 136052),
+            # one worker finds the witness at node 11,764
+            (lambda: wheel(6), SearchConfig(node_limit=12000), Status.FOUND, 11764),
         ],
         ids=["C10-31", "prism-74", "W6"],
     )
@@ -460,12 +460,12 @@ class TestLimits:
         assert out.elapsed < 1.5
 
     def test_every_node_limit_on_the_prism(self):
-        # the prism finds its witness at node 1,086: every smaller limit stops
+        # the prism finds its witness at node 252: every smaller limit stops
         # at exactly its node, and no pruning count falls as the limit grows.
         # The unlimited search first leaves the unchecked steps in the memo
         g, before = prism(), {}
-        assert search(g).nodes_explored == 1086
-        for n in range(1, 1086):
+        assert search(g).nodes_explored == 252
+        for n in range(1, 252):
             out = search(g, SearchConfig(node_limit=n))
             assert (out.status, out.nodes_explored) == (Status.NODE_LIMIT, n)
             assert all(out.pruning_stats.get(rule, 0) >= before.get(rule, 0) for rule in ALL_RULES), n
@@ -591,10 +591,10 @@ class TestDerivedBounds:
         # prism edges lie on unequal numbers of geodesics, so no sum is
         # derived; an explicit one must still hold at every leaf
         found = search(prism(), SearchConfig(forced_label_sum=73))
-        assert (found.status, found.nodes_explored) == (Status.FOUND, 1086)
+        assert (found.status, found.nodes_explored) == (Status.FOUND, 252)
         assert sum(found.witnesses[0].labels) == 73
         none = search(prism(), SearchConfig(forced_label_sum=74))
-        assert (none.status, none.nodes_explored) == (Status.EXHAUSTED_NONE, 138315)
+        assert (none.status, none.nodes_explored) == (Status.EXHAUSTED_NONE, 136052)
 
     def test_seedless_searches_full_range(self):
         out = search(cycle(4), SearchConfig(node_limit=10), derive_bounds=False)
@@ -615,14 +615,25 @@ class TestDerivedBounds:
         assert (above.status, above.witnesses) == (at_t.status, at_t.witnesses)
 
 
-def brute_force_orbits(g, order):
-    """stabilizer_orbits by listing every vertex permutation that preserves
-    adjacency."""
-    edges = set(g.edges)
-    group = []
-    for p in itertools.permutations(range(g.vertex_count)):
-        if all(tuple(sorted((p[a], p[b]))) in edges for a, b in g.edges):
-            group.append([g.edge_id(p[a], p[b]) for a, b in g.edges])
+def automorphisms(g):
+    """Every automorphism of g as an edge permutation: every vertex map,
+    extended one vertex at a time to each unused image that keeps adjacency
+    and non-adjacency with the vertices mapped before it."""
+    pairs = {frozenset(e) for e in g.edges}
+    maps = [()]
+    for v in range(g.vertex_count):
+        maps = [
+            p + (y,)
+            for p in maps
+            for y in range(g.vertex_count)
+            if y not in p and all((frozenset((u, v)) in pairs) == (frozenset((x, y)) in pairs) for u, x in enumerate(p))
+        ]
+    return [[g.edge_id(p[a], p[b]) for a, b in g.edges] for p in maps]
+
+
+def brute_force_orbits(g, order, group=None):
+    """stabilizer_orbits as a list, from the automorphism group listed whole."""
+    group = automorphisms(g) if group is None else group
     orbits = []
     for d, e in enumerate(order):
         stabilizer = [q for q in group if all(q[f] == f for f in order[:d])]
@@ -646,17 +657,26 @@ class TestSymmetry:
     def test_orbits_match_brute_force(self, make):
         g = make()
         order = list(range(g.edge_count))
-        assert stabilizer_orbits(g, order) == brute_force_orbits(g, order)
-        assert stabilizer_orbits(g, order[::-1]) == brute_force_orbits(g, order[::-1])
+        assert list(stabilizer_orbits(g, order)) == brute_force_orbits(g, order)
+        assert list(stabilizer_orbits(g, order[::-1])) == brute_force_orbits(g, order[::-1])
 
     def test_catalog_orbits_match_brute_force(self):
+        # edge ids in turn, the search's order and its reverse, each fed one
+        # edge at a time as the search's order is: every orbit is read
+        # before the next edge is chosen
         for g in catalog_graphs():
-            order = list(range(g.edge_count))
-            assert stabilizer_orbits(g, order) == brute_force_orbits(g, order), g.edges
+            group = automorphisms(g)
+            order = _Prepared(g, SearchConfig(), False, ()).order
+            for full in (list(range(g.edge_count)), order, order[::-1]):
+                grown = []
+                orbits = stabilizer_orbits(g, grown)
+                for e in full:
+                    grown.append(e)
+                    assert next(orbits) == brute_force_orbits(g, grown, group)[-1], (g.edges, grown)
 
     def test_disconnected_orbits(self):
         two_triangles = build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-        assert stabilizer_orbits(two_triangles, range(6)) == [
+        assert list(stabilizer_orbits(two_triangles, range(6))) == [
             (0, 1, 2, 3, 4, 5), (1, 2), (2,), (3, 4, 5), (4, 5), (5,)
         ]
 
@@ -665,7 +685,7 @@ class TestSymmetry:
         for g in catalog_graphs():
             on = search(g, SearchConfig(mode=mode))
             off = search(g, SearchConfig(mode=mode), disabled_rules=("symmetry",))
-            assert on.status is off.status, g.edges
+            assert (on.status, on.witnesses) == (off.status, off.witnesses), g.edges
 
     @pytest.mark.parametrize("n", [5, 6, 7])
     def test_prunes_nodes(self, n):
@@ -692,7 +712,7 @@ class TestSymmetry:
         graphs = [
             g for g in (build_graph(a.number_of_nodes(), list(a.edges()))
                         for a in nx.graph_atlas_g() if a.number_of_edges() and nx.is_connected(a))
-            if len(stabilizer_orbits(g, range(g.edge_count))[0]) == g.edge_count
+            if len(next(stabilizer_orbits(g, range(g.edge_count)))) == g.edge_count
         ]
         assert len(graphs) == 21
         cap = 1 if mode is Mode.LEECH else 2
@@ -735,18 +755,25 @@ class TestSymmetry:
 def greedy_order(g):
     """The fail-first edge order, re-counted from scratch at each step: most
     geodesics through the edge, then most geodesics that it completes with
-    the edges already placed, then the smallest edge id."""
+    the edges already placed, then most lex-leader floors (placed edges in
+    whose orbit, under the automorphisms fixing the edges placed before
+    them, it lies), then the smallest edge id."""
     paths = enumerate_geodesics(g)
     k = census(g).per_edge
+    group = automorphisms(g)
     order = []
     while len(order) < g.edge_count:
         placed = set(order)
+        orbits = brute_force_orbits(g, order, group)
 
         def completes(e):
             return sum(1 for p in paths if e in p.edge_ids and set(p.edge_ids) - {e} <= placed)
 
+        def floors(e):
+            return sum(1 for orbit in orbits if e in orbit)
+
         left = [e for e in range(g.edge_count) if e not in placed]
-        order.append(min(left, key=lambda e: (-k[e], -completes(e), e)))
+        order.append(min(left, key=lambda e: (-k[e], -completes(e), -floors(e), e)))
     return order
 
 
@@ -758,6 +785,31 @@ class TestEdgeOrder:
             if a.number_of_edges():
                 g = build_graph(a.number_of_nodes(), list(a.edges()))
                 assert _Prepared(g, SearchConfig(), False, ()).order == greedy_order(g), g.edges
+
+    @pytest.mark.parametrize("mode", [Mode.LEECH, Mode.ALMOST])
+    def test_one_order_for_every_rule_set(self, mode):
+        # the floors break ties whether or not they are applied, so the
+        # first witness is the same with symmetry on, off or under find_all
+        for g in catalog_graphs():
+            orders = [
+                _Prepared(g, cfg, True, off).order
+                for cfg, off in (
+                    (SearchConfig(mode=mode), ()),
+                    (SearchConfig(mode=mode), ("symmetry",)),
+                    (SearchConfig(mode=mode, find_all=True), ()),
+                )
+            ]
+            assert orders[0] == orders[1] == orders[2], g.edges
+
+    def test_c10_places_the_reflected_edge_third(self):
+        # the reflection fixing edge 0 maps edge 1 onto edge 9, whose floor
+        # from edge 1 then prunes at depth 2, not at the last depth
+        prep = _Prepared(cycle(10), SearchConfig(max_label=15), True, ())
+        assert prep.order == [0, 1, 9, 2, 3, 4, 5, 6, 7, 8]
+        assert prep.symmetry[2] == (0, 1)
+        assert prep.symmetry[1:] == [(0,), (0, 1)] + [(0,)] * 7
+        off = _Prepared(cycle(10), SearchConfig(max_label=15), True, ("symmetry",))
+        assert (off.order, off.symmetry) == (prep.order, [()] * 10)
 
     def test_long_cycle_costs_little(self):
         # the order's completion counts are kept up to date as edges are
@@ -867,7 +919,8 @@ class TestCensusCorpus:
     def test_order6_census(self):
         # all 112 connected graphs on 6 vertices; 2,446,564 nodes when edge
         # ties went by edge id alone, 662,630 in fail-first order, 642,013
-        # with the root symmetry cap
+        # with the root symmetry cap, 613,754 with ties broken toward edges
+        # with lex-leader floors
         nx = pytest.importorskip("networkx")
         lines = [
             nx.to_graph6_bytes(a, header=False).decode().strip()
@@ -1121,7 +1174,7 @@ class TestStepMemo:
         search(cycle(10), SearchConfig(max_label=15))
         misses = _step_code.cache_info().misses
         out = search(cycle(10), SearchConfig(max_label=15))
-        assert out.nodes_explored == 389699
+        assert out.nodes_explored == 102521
         assert _step_code.cache_info().misses == misses
 
     def test_first_label_jobs_compile_each_shape_once(self, monkeypatch):
@@ -1133,8 +1186,8 @@ class TestStepMemo:
         prep = _Prepared(cycle(10), SearchConfig(max_label=15), True, ())
         found = Value("i", prep.max_label + 1)
         nodes = sum(_search_single(prep, (v,), found)[2] for v in range(1, 16))
-        assert nodes == 910748
-        assert len(built) == 100  # 15 jobs, each building the depths it reaches
+        assert nodes == 297899
+        assert len(built) == 101  # 15 jobs, each building the depths it reaches
         assert _step_code.cache_info().misses == 6
 
     def test_order6_census_shares_code_across_rows(self, monkeypatch):

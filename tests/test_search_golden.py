@@ -121,7 +121,7 @@ def test_unlimited_searches_match_golden():
         }
         assert json.dumps(got) == json.dumps({key: line[key] for key in got}), (name, line["mode"], disabled)
         checked += 1
-    assert checked == 166
+    assert checked == 164
 
 
 if __name__ == "__main__":
