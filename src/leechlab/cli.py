@@ -435,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-label", type=_count("--max-label"), default=None, help="largest label to try (default: proven bound)")
     p.add_argument("--sum", type=_count("--sum"), default=None, help="force the label sum (default: derived when valid)")
     p.add_argument("--time-limit", type=_seconds, default=None, help="wall-clock limit in seconds")
-    p.add_argument("--node-limit", type=_count("--node-limit"), default=None, help="stop at this many nodes (candidate labels tried), counted in search order at one worker")
+    p.add_argument("--node-limit", type=_count("--node-limit"), default=None, help="stop at this many nodes (candidate labels tried), each window counted whole before the search descends into it")
     p.add_argument("--all", action="store_true", help="collect every witness instead of stopping at the first")
     _add_workers(p, "; a search with --node-limit runs at one worker")
     p.add_argument("--seedless", action="store_true", help="do not derive bounds from counting arguments; search labels up to t_gp")

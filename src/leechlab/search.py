@@ -45,8 +45,8 @@ A node is one candidate label for the edge at some depth: a value inside the
 window left after the weight_bound, complement_window and symmetry floors
 (and, at the root, the symmetry cap) that distinct_label does not reject. It
 counts whether or not its weights then collide (weight_duplicate). node_limit
-stops the search at its N-th node in search order, so such a search runs at
-one worker. Otherwise each first label left is one job at workers > 1,
+stops the search at its N-th node in counting order (below), so such a search
+runs at one worker. Otherwise each first label left is one job at workers > 1,
 handed in ascending order to whichever worker is idle; the jobs share one
 deadline, and unless find_all is set, a job stops once a smaller first label
 has found a witness, so the witness is the one a single worker finds first.
@@ -59,17 +59,15 @@ the weight set to a mask of the labels that collide once, and to one of the
 labels that collide twice; one AND then rejects every colliding candidate,
 and the loop visits only the survivors, in ascending order. A depth's whole
 node step, up to its survivor loop calling the next depth's, is one generated
-straight-line function with mode, rules and counting resolved, built when the
+straight-line function with mode and rules resolved, built when the
 search first reaches the depth. Its code takes the depth's values as closure
 cells, so a bounded per-process memo keeps one code object per shape for all
-depths, searches and jobs. Without a node limit, a node counts its whole
-window before its first survivor, and a stop takes back the part above the
-survivor it was in; with one, counts are added for each stretch of
-candidates up to the next survivor, just before the search descends into
-it, and the stretch the limit falls in one candidate at a time. Either way
-the counts are exact wherever the search stops. The deadline and the early
-stop are read in one place, about once every 4,096 nodes, on entry to a
-node step and before it counts anything.
+depths, searches and jobs. A step counts its whole window, all candidates
+in ascending order, before it descends into any of them: this is counting
+order, so a stopped search also counts the rest of each window on its path.
+The node limit, the deadline and the early stop are read in one poll, after
+a step counts, about every 4,096 nodes and at the limit; a stop takes back
+only the candidates past the limit-th node.
 The C10 preset (labels up to 31) takes 2,174,016 nodes at one worker.
 """
 
@@ -147,8 +145,10 @@ class SearchOutcome:
     the weight_bound, complement_window and symmetry floors, and the root's
     symmetry cap) that distinct_label lets through, whether or not their
     weights then collide; at workers > 1 it sums over the first-label jobs.
-    A search with a node_limit runs at one worker, so its outcome, elapsed
-    aside, is the same at every worker count. Unlimited searches return the
+    Each window is counted whole before the search descends into it. A
+    search with a node_limit stops at its N-th node in that order and runs
+    at one worker, so its outcome, elapsed aside, is the same at every
+    worker count. Unlimited searches return the
     same status and witnesses at every worker count, and exhausted ones the
     same nodes_explored and pruning_stats (the rules that cut anything, in
     ALL_RULES order). max_label is the bound the search used, at most t_gp.
@@ -351,7 +351,7 @@ def _exact_hits(bases, wmask: int, tmask: int) -> tuple[int, int]:
 
 
 # the counts a node step adds to, in cells that every depth of a search shares
-_COUNTS = ("nodes", "distinct", "rejected", "cut_gcd", "cut_sum", "cut_wbound", "cut_window", "cut_symmetry")
+_COUNTS = ("nodes", *ALL_RULES)
 # a node step's arguments, in this order, and what it passes its child for each
 _CHILD = {"wsum": "wsum + K * v", "psum": "psum + v", "dups": "dups + (any_hit >> v & 1)",
           "wmask": "wmask | (bb << v) & TMASK", "lmask": "lmask | low"}
@@ -363,33 +363,33 @@ def _step_code(shape):
     process. The source names every value of its search and depth (edge ids,
     bounds, floors, k, masks, the next depth) as a free variable, so the code
     serves every depth, search and job of its shape; _node_step binds them."""
-    params, root, checked, polled, distinct, budget, wbound, gcd, sums, lines, bases, floors, n_sym = shape
+    params, root, distinct, budget, wbound, gcd, sums, lines, bases, floors, n_sym = shape
     name = {-1: "0", **{i: f"b{i}" for i in range(len(lines))}}  # base -1 is the edge's own
     free = "free" if distinct else "window"
-    body = ["if nodes >= due:", "    poll()"] if polled else []
+    body = []
     if gcd:  # the weighted sum to go needs a multiple of gcd in [lo, hi]
-        body += [f"if {gcd}:", "    cut_gcd += 1", "    return"]
+        body += [f"if {gcd}:", "    sum_divisibility += 1", "    return"]
     tests = (["wsum < WLO", "wsum > WHI"] if sums else []) + (["psum < PLO", "psum > PHI"] if "psum" in params else [])
     if tests:
-        body += [f"if {' or '.join(tests)}:", "    cut_sum += 1", "    return"]
+        body += [f"if {' or '.join(tests)}:", "    sum_bound += 1", "    return"]
     # each base is a base named before it plus one label
     body += [f"b{i} = {'' if prev < 0 else name[prev] + ' + '}labels[E{i}]" for i, prev in enumerate(lines)]
     body.append("bb = " + " | ".join(f"1 << {name[b]}" for b in bases))
     # the largest base is the highest bit of bb
-    capped = ["hi = T1 - bb.bit_length()", "if hi < VMAX:", "    cut_wbound += VMAX - hi", "else:", "    hi = VMAX"]
+    capped = ["hi = T1 - bb.bit_length()", "if hi < VMAX:", "    weight_bound += VMAX - hi", "else:", "    hi = VMAX"]
     body += capped if wbound else ["hi = VMAX"]
     body.append(f"lo = F0 - {name[floors[0]]}" if floors else "lo = 1")
     for j, b in enumerate(floors[1:], 1):
         body += [f"if F{j} - {name[b]} > lo:", f"    lo = F{j} - {name[b]}"]
     if floors:
-        body += ["if lo > 1:", "    cut_window += lo - 1", "else:", "    lo = 1"]
+        body += ["if lo > 1:", "    complement_window += lo - 1", "else:", "    lo = 1"]
     for j in range(n_sym):
-        body += [f"s = labels[S{j}]", "if s > lo:", "    cut_symmetry += s - lo", "    lo = s"]
+        body += [f"s = labels[S{j}]", "if s > lo:", "    symmetry += s - lo", "    lo = s"]
     body += ["if lo > hi:", "    return", "window = (2 << hi) - (1 << lo)"]
     if root:
         body.append("window &= FIRST")
     if distinct:
-        body += ["taken = window & lmask", "free = window ^ taken"]
+        body += ["taken = window & lmask", "free = window ^ taken", "distinct_label += taken.bit_count()"]
     survivors = free
     if budget is not None:
         # label v gives a base a taken weight exactly when bit v of wmask >>
@@ -409,51 +409,18 @@ def _step_code(shape):
                      "else:", "    " + fast]
         else:
             body.append(fast)
-        body.append(f"bad = {'(any_hit if dups else two_hit)' if budget else 'any_hit'} & {free}")
+        body += [f"bad = {'(any_hit if dups else two_hit)' if budget else 'any_hit'} & {free}",
+                 "weight_duplicate += bad.bit_count()"]
         survivors = f"{free} ^ bad"
     # weight_bound keeps every new weight at most t
     child = {**_CHILD, "wmask": "wmask | bb << v"} if wbound else _CHILD
     descend = f"v = low.bit_length() - 1; labels[EID] = v; nxt({', '.join(child[p] for p in params)})"
-    taken, bad = "taken" if distinct else 0, "bad" if budget is not None else 0
-    counted = [(count, mask) for count, mask in (("distinct", taken), ("rejected", bad)) if mask]
-    if not checked:
-        # no node limit can fall due: count the whole window now, and take
-        # back the part above the current survivor if the search stops in it
-        body += [f"nodes += {free}.bit_count()", *(f"{count} += {mask}.bit_count()" for count, mask in counted)]
-        body += f"""survivors = {survivors}
-low = 0
-try:
-    while survivors:
-        low = survivors & -survivors
-        survivors ^= low
-        {descend}
-except _Stop:
-    above = window & -(low << 1)
-    nodes -= (above & {free}).bit_count()""".split("\n")
-        body += [f"    {count} -= (above & {mask}).bit_count()" for count, mask in counted] + ["    raise"]
-    else:
-        # count each stretch of candidates up to the next survivor just before
-        # descending into it, and the stretch the node limit falls in singly
-        body += f"""survivors = {survivors}
-rest = window
-while rest:
-    if survivors:
-        low = survivors & -survivors
-        survivors ^= low
-        chunk = rest & ((low << 1) - 1)
-    else:
-        low, chunk = 0, rest
-    rest ^= chunk
-    n = (chunk & {free}).bit_count()
-    if nodes + n >= node_limit:
-        count_singly(chunk, {taken}, {bad})
-    else:
-        nodes += n""".split("\n")
-        for count, mask in counted:
-            body += [f"        if {mask}:", f"            {count} += (chunk & {mask}).bit_count()"]
-        body += ["    if not low:", "        break", f"    {descend}"]
-    names = [*_COUNTS, "labels", "due", "poll", "node_limit", "count_singly", "nxt", "FIRST", "EID", "K", "G", "HI",
-             "SPAN", "WLO", "WHI", "PLO", "PHI", "VMAX", "T1", "TMASK", *(f"E{i}" for i in range(len(lines))),
+    # count the whole window, poll if one is due, then descend into the survivors
+    body += [f"nodes += {free}.bit_count()", "if nodes >= due:", f"    poll({free}, {0 if budget is None else 'bad'})",
+             f"survivors = {survivors}", "while survivors:", "    low = survivors & -survivors", "    survivors ^= low",
+             f"    {descend}"]
+    names = [*_COUNTS, "labels", "due", "poll", "nxt", "FIRST", "EID", "K", "G", "HI", "SPAN", "WLO", "WHI",
+             "PLO", "PHI", "VMAX", "T1", "TMASK", *(f"E{i}" for i in range(len(lines))),
              *(f"F{j}" for j in range(len(floors))), *(f"S{j}" for j in range(n_sym))]
     source = "\n".join([
         f"def factory({', '.join(names)}):", f"    def step({', '.join(params)}):",
@@ -464,12 +431,11 @@ while rest:
     return step
 
 
-def _node_step(prep: _Prepared, d: int, checked: bool, polled: bool, shared: dict):
+def _node_step(prep: _Prepared, d: int, shared: dict):
     """Depth d's node step, step(*params) with params a subsequence of
-    _CHILD's keys, whose counts, labels, first-label mask (FIRST) and next
-    depth (nxt) are the cells in shared; so are node_limit and count_singly
-    if checked, and due and poll if polled. A polled step first calls poll
-    once the node count reaches due, before it counts anything."""
+    _CHILD's keys, whose counts, labels, first-label mask (FIRST), next depth
+    (nxt), due and poll are the cells in shared. It counts its whole window,
+    calls poll(free, bad) once the node count reaches due, then descends."""
     rules, t = prep.rules, prep.t
     wdup = "weight_duplicate" in rules
     distinct = prep.leech and "distinct_label" in rules
@@ -507,7 +473,7 @@ def _node_step(prep: _Prepared, d: int, checked: bool, polled: bool, shared: dic
     # Leech mode's weighted sum window is one value: any residue left cuts
     gcd_test = "(HI - wsum) % G" + ("" if prep.leech else " > SPAN") if gcd > 1 else None
     code = _step_code((
-        params, d == 0, checked, polled, distinct, (0 if prep.leech else 1) if wdup else None, "weight_bound" in rules,
+        params, d == 0, distinct, (0 if prep.leech else 1) if wdup else None, "weight_bound" in rules,
         gcd_test, sums, tuple(lines), tuple(bases), tuple(floors), len(prep.symmetry[d]),
     ))
     closure = tuple(shared[n] if n in shared else types.CellType(values[n]) for n in code.co_freevars)
@@ -522,37 +488,30 @@ def _search_single(prep: _Prepared, first_values, found=None):
     m = prep.m
     labels = [0] * m
     witnesses: list[Labeling] = []
-    nodes = distinct = rejected = 0
-    cut_gcd = cut_sum = cut_wbound = cut_window = cut_symmetry = 0
-    deadline, node_limit = prep.deadline, prep.node_limit
+    nodes = distinct_label = sum_bound = sum_divisibility = weight_bound = weight_duplicate = 0
+    complement_window = symmetry = 0
+    deadline, node_limit = prep.deadline, prep.node_limit or math.inf
     first = first_values[0] if found is not None else None
-    checked, polled = node_limit is not None, deadline is not None or found is not None
     due = 0  # the root step polls, so a job that starts after a stop ends at once
 
-    def poll() -> None:
-        """Stop at the deadline or once a smaller first label has a witness;
-        else poll again 4,096 nodes on."""
-        nonlocal due
+    def poll(free: int, bad: int) -> None:
+        """Stop at the node limit, taking back the candidates of free (the
+        window just counted) past the limit-th and their rejections (bad),
+        at the deadline, or once a smaller first label has a witness; else
+        poll again 4,096 nodes on, or at the limit."""
+        nonlocal nodes, weight_duplicate, due
+        if nodes >= node_limit:
+            while nodes > node_limit:
+                top = 1 << free.bit_length() - 1
+                free ^= top
+                nodes -= 1
+                weight_duplicate -= bool(top & bad)
+            raise _Stop(Status.NODE_LIMIT)
         if deadline is not None and time.monotonic() > deadline:
             raise _Stop(Status.TIMED_OUT)
         if found is not None and found.value < first:
             raise _Stop(None)
-        due = nodes + 4096
-
-    def count_singly(chunk: int, taken: int, bad: int) -> None:
-        """Count the candidates of chunk one at a time up to the node limit."""
-        nonlocal nodes, distinct, rejected
-        while chunk:
-            low = chunk & -chunk
-            chunk ^= low
-            if low & taken:
-                distinct += 1
-                continue
-            nodes += 1
-            if nodes == node_limit:
-                raise _Stop(Status.NODE_LIMIT)
-            if low & bad:
-                rejected += 1
+        due = min(nodes + 4096, node_limit)
 
     def leaf(*_) -> None:
         if _leaf_matches(prep, labels):
@@ -561,20 +520,19 @@ def _search_single(prep: _Prepared, first_values, found=None):
                 raise _Stop(Status.FOUND)
 
     def stats() -> dict[str, int]:
-        return dict(zip(ALL_RULES, (distinct, cut_sum, cut_gcd, cut_wbound, rejected, cut_window, cut_symmetry)))
+        counts = distinct_label, sum_bound, sum_divisibility, weight_bound, weight_duplicate, complement_window, symmetry
+        return dict(zip(ALL_RULES, counts))
 
     # the node steps are built on these functions' own cells, so what they
     # count lands in the variables above; links[d] holds what depth d calls:
     # the leaf, or depth d + 1, which is built the first time it is reached
-    shared = {n: c for f in (poll, count_singly, leaf, stats) for n, c in zip(f.__code__.co_freevars, f.__closure__)}
-    first_mask = sum(1 << v for v in set(first_values))
-    shared.update(poll=types.CellType(poll), count_singly=types.CellType(count_singly))
-    shared["FIRST"] = types.CellType(first_mask)
+    shared = {n: c for f in (poll, leaf, stats) for n, c in zip(f.__code__.co_freevars, f.__closure__)}
+    shared.update(poll=types.CellType(poll), FIRST=types.CellType(sum(1 << v for v in set(first_values))))
     links = [types.CellType(leaf) for _ in range(m)]
 
     def reach(d: int):
         def first_visit(*args):
-            step = links[d - 1].cell_contents = _node_step(prep, d, checked, polled, {**shared, "nxt": links[d]})
+            step = links[d - 1].cell_contents = _node_step(prep, d, {**shared, "nxt": links[d]})
             return step(*args)
         return first_visit
 
@@ -583,7 +541,7 @@ def _search_single(prep: _Prepared, first_values, found=None):
 
     status = Status.EXHAUSTED_NONE
     try:
-        root = _node_step(prep, 0, checked, polled, {**shared, "nxt": links[0]})
+        root = _node_step(prep, 0, {**shared, "nxt": links[0]})
         root(*[0] * root.__code__.co_argcount)
         if witnesses:
             status = Status.FOUND
@@ -649,7 +607,7 @@ def search(
     # one worker takes every first label, in this process; more take one job
     # per label as each goes idle, unless the root's sum bounds, the same for
     # every label, cut it: a search with no first label tests them once. A
-    # node limit counts nodes in single-worker search order, so it gets one
+    # node limit counts nodes in single-worker counting order, so it gets one
     values = prep.first_labels
     workers = 1 if cfg.node_limit is not None else min(workers, len(values))
     results = [_search_single(prep, values if workers == 1 else ())]

@@ -29,6 +29,7 @@ from leechlab.graphio import graph6_decode
 from leechlab.labeling import Verdict, classify
 from leechlab.search import (
     ALL_RULES,
+    _COUNTS,
     Mode,
     SearchConfig,
     Status,
@@ -284,10 +285,10 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_limit_cutting_find_all_short_is_the_status(self, workers):
-        # C4 has 8 witnesses and its first 10 nodes in search order lead to
+        # C4 has 8 witnesses and its first 16 nodes in counting order lead to
         # one; a node limit runs the search at one worker at any count
-        out = search(cycle(4), SearchConfig(find_all=True, node_limit=10), workers=workers)
-        assert (out.status, out.nodes_explored) == (Status.NODE_LIMIT, 10)
+        out = search(cycle(4), SearchConfig(find_all=True, node_limit=16), workers=workers)
+        assert (out.status, out.nodes_explored) == (Status.NODE_LIMIT, 16)
         assert len(out.witnesses) == 1
 
     @pytest.mark.parametrize("workers", [2, 3])
@@ -345,7 +346,7 @@ class TestDeterminism:
         assert (out.status, out.nodes_explored) == (Status.NODE_LIMIT, 1000)
 
     def test_prism_stops_early_at_two_workers(self, monkeypatch):
-        # one worker finds the prism's witness at node 252; in a pool, a
+        # one worker finds the prism's witness at node 350; in a pool, a
         # job running beside it sees the witness at its next poll, about
         # every 4,096 nodes, so its count depends on how the workers start
         one = search(prism())
@@ -356,14 +357,16 @@ class TestDeterminism:
             initializer(*initargs)
             return map(fn, jobs)
 
-        # run the jobs one after another in this process: first label 2's job
-        # starts after label 1's witness and is skipped, where without the
-        # early stop it ran on for 17,987 more nodes
+        # run the jobs one after another in this process: label 1's job finds
+        # its witness at node 330, and each later job counts its one root
+        # label and stops at the root's poll, so the 21 jobs count the 350
+        # nodes of one worker, whose root counts all 21 labels at once.
+        # Without the early stop label 2's job ran on for 18,039 nodes
         module = importlib.import_module("leechlab.search")
         monkeypatch.setattr(module, "_job", None)
         monkeypatch.setattr(module, "_pool_map", in_order)
         out = search(prism(), workers=2)
-        assert (out.status, out.nodes_explored, out.witnesses) == (Status.FOUND, 252, one.witnesses)
+        assert (out.status, out.nodes_explored, out.witnesses) == (Status.FOUND, 350, one.witnesses)
 
     def test_job_stops_at_its_first_check_after_a_smaller_label_finds(self):
         from multiprocessing import Value
@@ -374,8 +377,9 @@ class TestDeterminism:
         status, witnesses, nodes, _ = _search_single(prep, (2,), found)
         assert status is Status.FOUND and nodes > 4096
         assert found.value == 2
-        # a job that starts after a smaller label found one is skipped
-        assert _search_single(prep, (3,), found)[0::2] == (None, 0)
+        # a job that starts after a smaller label found one stops at the
+        # root's poll, once the root has counted its window: label 3 alone
+        assert _search_single(prep, (3,), found)[0::2] == (None, 1)
 
         class FoundAfterStart:
             # the record as a job reads it: empty at its start, then label 1
@@ -386,12 +390,12 @@ class TestDeterminism:
                 self.reads += 1
                 return prep.max_label + 1 if self.reads == 1 else 1
 
-        # the root step polls at node 0, and the next poll falls due at 4,096
-        # counted nodes, on entry to a node step; the steps above it take
-        # back what they counted past the survivors they were in, so the job
-        # counts what the same job stopped by a node limit at its node counts
+        # the root step polls once it has counted its window, and the next
+        # poll falls due at 4,096 more counted nodes, in the step whose window
+        # reaches them; nothing is taken back, so the job counts what the
+        # same job stopped by a node limit at its node counts
         status, witnesses, nodes, stats = _search_single(prep, (2,), FoundAfterStart())
-        assert (status, witnesses, nodes) == (None, [], 4049)
+        assert (status, witnesses, nodes) == (None, [], 4108)
         limited = _Prepared(prism(), SearchConfig(node_limit=nodes), True, ())
         assert _search_single(limited, (2,)) == (Status.NODE_LIMIT, [], nodes, stats)
 
@@ -439,8 +443,8 @@ class TestLimits:
             (lambda: cycle(10), SearchConfig(max_label=31, node_limit=5000), Status.NODE_LIMIT, 5000),
             # the whole tree is 136,052 nodes, over every first label
             (prism, SearchConfig(forced_label_sum=74, node_limit=136053), Status.EXHAUSTED_NONE, 136052),
-            # one worker finds the witness at node 11,764
-            (lambda: wheel(6), SearchConfig(node_limit=12000), Status.FOUND, 11764),
+            # one worker finds the witness at node 11,840
+            (lambda: wheel(6), SearchConfig(node_limit=12000), Status.FOUND, 11840),
         ],
         ids=["C10-31", "prism-74", "W6"],
     )
@@ -460,12 +464,11 @@ class TestLimits:
         assert out.elapsed < 1.5
 
     def test_every_node_limit_on_the_prism(self):
-        # the prism finds its witness at node 252: every smaller limit stops
-        # at exactly its node, and no pruning count falls as the limit grows.
-        # The unlimited search first leaves the unchecked steps in the memo
+        # the prism finds its witness at node 350: every smaller limit stops
+        # at exactly its node, and no pruning count falls as the limit grows
         g, before = prism(), {}
-        assert search(g).nodes_explored == 252
-        for n in range(1, 252):
+        assert search(g).nodes_explored == 350
+        for n in range(1, 350):
             out = search(g, SearchConfig(node_limit=n))
             assert (out.status, out.nodes_explored) == (Status.NODE_LIMIT, n)
             assert all(out.pruning_stats.get(rule, 0) >= before.get(rule, 0) for rule in ALL_RULES), n
@@ -476,7 +479,8 @@ class TestLimits:
         [
             (lambda: cycle(10), SearchConfig(max_label=31, time_limit=0.05)),
             (lambda: wheel(7), SearchConfig(mode=Mode.ALMOST, find_all=True, time_limit=0.05)),
-            # a node limit out of reach: the step counts stretch by stretch and polls
+            # a node limit out of reach: the polls fall due every 4,096 nodes
+            # as without one, and the deadline stops the search
             (lambda: cycle(10), SearchConfig(max_label=31, time_limit=0.05, node_limit=10**9)),
         ],
         ids=["C10-31", "W7-almost-all", "C10-31-limited"],
@@ -506,19 +510,24 @@ class TestLimits:
             (cycle(5), SearchConfig(), ("sum_divisibility",)),
             (cycle(6), SearchConfig(), ("sum_divisibility",)),
             (cycle(10), SearchConfig(max_label=14), ()),
+            # found searches: the last node is in the window of the witness's
+            # last edge, which is counted whole before the leaf is reached
+            (wheel(6), SearchConfig(), ()),
+            (prism(), SearchConfig(), ()),
+            (wheel(7), SearchConfig(mode=Mode.ALMOST), ()),
         ],
-        ids=["C5", "C6", "C10-14"],
+        ids=["C5", "C6", "C10-14", "W6", "prism", "W7-almost"],
     )
     def test_node_limit_at_and_past_an_exhausted_tree(self, g, cfg, disabled):
         # the limit stops the search at its N-th node, even the last one
+        # before it exhausts or reaches its witness
         full = search(g, cfg, disabled_rules=disabled)
         n = full.nodes_explored
-        assert full.status is Status.EXHAUSTED_NONE and n > 100
+        assert full.status in (Status.EXHAUSTED_NONE, Status.FOUND) and n > 100
         at = search(g, replace(cfg, node_limit=n), disabled_rules=disabled)
-        assert (at.status, at.nodes_explored) == (Status.NODE_LIMIT, n)
+        assert (at.status, at.nodes_explored, at.witnesses) == (Status.NODE_LIMIT, n, ())
         past = search(g, replace(cfg, node_limit=n + 1), disabled_rules=disabled)
-        assert (past.status, past.nodes_explored) == (Status.EXHAUSTED_NONE, n)
-        assert past.pruning_stats == full.pruning_stats
+        assert replace(past, elapsed=full.elapsed) == full
 
 
 class TestConfigValidation:
@@ -591,7 +600,7 @@ class TestDerivedBounds:
         # prism edges lie on unequal numbers of geodesics, so no sum is
         # derived; an explicit one must still hold at every leaf
         found = search(prism(), SearchConfig(forced_label_sum=73))
-        assert (found.status, found.nodes_explored) == (Status.FOUND, 252)
+        assert (found.status, found.nodes_explored) == (Status.FOUND, 350)
         assert sum(found.witnesses[0].labels) == 73
         none = search(prism(), SearchConfig(forced_label_sum=74))
         assert (none.status, none.nodes_explored) == (Status.EXHAUSTED_NONE, 136052)
@@ -971,13 +980,6 @@ class TestCensusCorpus:
         assert (rows[2].n, rows[2].m, rows[2].t_gp) == (1, 0, 0)
 
 
-# the cells a node step counts in, and the pruning_stats key of each
-STEP_COUNTS = {
-    "nodes": "nodes", "distinct": "distinct_label", "rejected": "weight_duplicate", "cut_gcd": "sum_divisibility",
-    "cut_sum": "sum_bound", "cut_wbound": "weight_bound", "cut_window": "complement_window", "cut_symmetry": "symmetry",
-}
-
-
 def plain_step(prep, d, labels, state, first_mask):
     """What depth d's node step does, one rule and one candidate label at a
     time: the counts it adds, keyed as pruning_stats plus "nodes", and the
@@ -1033,20 +1035,19 @@ def plain_step(prep, d, labels, state, first_mask):
     return counts, children
 
 
-def run_step(prep, d, checked, polled, labels, state, first_mask, due=math.inf):
+def run_step(prep, d, labels, state, first_mask, due=math.inf):
     """Depth d's generated node step on fresh cells, with a recording stub as
-    the next depth, no node limit, and a poll, due at node due, that stops
-    the search: the counts it adds and the label and state of each child."""
-    cells = {name: types.CellType(0) for name in STEP_COUNTS}
+    the next depth and a poll, due at node due, that stops the search: the
+    counts it adds and the label and state of each child."""
+    cells = {name: types.CellType(0) for name in _COUNTS}
     calls = []
     stub = types.CellType(lambda *args: calls.append((list.__getitem__(labels, prep.order[d]), args)))
 
-    def poll():
+    def poll(free, bad):
         raise _Stop(None)
 
-    step = _node_step(prep, d, checked, polled, {
+    step = _node_step(prep, d, {
         **cells, "labels": types.CellType(labels), "due": types.CellType(due), "poll": types.CellType(poll),
-        "node_limit": types.CellType(math.inf), "count_singly": types.CellType(None),
         "FIRST": types.CellType(first_mask), "nxt": stub,
     })
     params = step.__code__.co_varnames[:step.__code__.co_argcount]
@@ -1054,14 +1055,14 @@ def run_step(prep, d, checked, polled, labels, state, first_mask, due=math.inf):
         step(*(state[p] for p in params))
     except _Stop:
         pass
-    counts = {STEP_COUNTS[name]: cell.cell_contents for name, cell in cells.items() if cell.cell_contents}
+    counts = {name: cell.cell_contents for name, cell in cells.items() if cell.cell_contents}
     return counts, [(v, dict(zip(params, args))) for v, args in calls], params
 
 
 class TestNodeStep:
     def check_steps(self, prep, rng, trials, top):
-        """Every depth's node step against plain_step, at both counting paths,
-        polled or not, on random labels 1..top for the edges placed before it, weighted and
+        """Every depth's node step against plain_step, with a poll due or not,
+        on random labels 1..top for the edges placed before it, weighted and
         plain sums near the depth's windows, and random weight and label sets."""
         for d in range(prep.m):
             gcd = prep.suffix_gcd[d]
@@ -1082,14 +1083,13 @@ class TestNodeStep:
                 }
                 first_mask = rng.getrandbits(prep.max_label + 1)
                 counts, children = plain_step(prep, d, labels, state, first_mask)
-                for checked, polled in itertools.product((False, True), repeat=2):
-                    got, calls, params = run_step(prep, d, checked, polled, list(labels), state, first_mask)
-                    want = [(v, {p: child[p] for p in params}) for v, child in children]
-                    assert (got, calls) == (counts, want), (prep.order, d, labels, state, checked, polled)
-                    if polled:
-                        # a poll that falls due stops the step before it counts anything
-                        got, calls, _ = run_step(prep, d, checked, polled, list(labels), state, first_mask, due=0)
-                        assert (got, calls) == ({}, []), (prep.order, d, labels, state, checked)
+                got, calls, params = run_step(prep, d, list(labels), state, first_mask)
+                want = [(v, {p: child[p] for p in params}) for v, child in children]
+                assert (got, calls) == (counts, want), (prep.order, d, labels, state)
+                # a poll that falls due stops the step after it counts its
+                # window and before any child
+                got, calls, _ = run_step(prep, d, list(labels), state, first_mask, due=0)
+                assert (got, calls) == (counts, []), (prep.order, d, labels, state)
 
     def test_matches_plain_step_on_the_atlas(self):
         # every graph on up to 6 vertices that has an edge, in both modes;
@@ -1135,7 +1135,7 @@ class TestNodeStep:
         state = dict.fromkeys(("wsum", "psum", "dups", "wmask", "lmask"), 0)
         for d, group in enumerate(prep.completed_at):
             CountingLabels.reads = 0
-            run_step(prep, d, False, False, CountingLabels([1] * prep.m), state, 1 << 1)
+            run_step(prep, d, CountingLabels([1] * prep.m), state, 1 << 1)
             assert CountingLabels.reads == len([o for o, _ in group if o])
 
     def test_root_probe_compiles_nothing_past_the_root(self, monkeypatch):
@@ -1175,6 +1175,16 @@ class TestStepMemo:
         misses = _step_code.cache_info().misses
         out = search(cycle(10), SearchConfig(max_label=15))
         assert out.nodes_explored == 102521
+        assert _step_code.cache_info().misses == misses
+
+    def test_limits_compile_nothing(self):
+        # the limits are read in poll(), not built into the steps, so limited
+        # searches run the code of the unlimited one
+        search(cycle(10), SearchConfig(max_label=15))
+        misses = _step_code.cache_info().misses
+        limited = search(cycle(10), SearchConfig(max_label=15, node_limit=50000))
+        timed = search(cycle(10), SearchConfig(max_label=15, time_limit=60))
+        assert (limited.status, timed.status) == (Status.NODE_LIMIT, Status.EXHAUSTED_NONE)
         assert _step_code.cache_info().misses == misses
 
     def test_first_label_jobs_compile_each_shape_once(self, monkeypatch):

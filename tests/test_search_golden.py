@@ -102,9 +102,8 @@ def test_search_outcomes_match_golden():
 
 def test_unlimited_searches_match_golden():
     # every golden search that ended before its node limit, again with no
-    # limit at all: a single-worker search with no check to make counts each
-    # node's window whole and takes back the rest when it stops, and must
-    # match the stretch-by-stretch counts of the limited run exactly
+    # limit at all: a limit is read only in poll(), once it is reached, so
+    # until then the two runs count every window alike and must match exactly
     want = [json.loads(line) for line in GOLDEN.read_text().splitlines()]
     runs = list(_runs())
     assert len(runs) == len(want)
