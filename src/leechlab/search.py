@@ -6,13 +6,15 @@ the edges before it (most first), then by its symmetry floors (most first),
 then by edge id. The floors count whatever the rules, so one order serves
 every search. It prunes with:
 
-  distinct_label      labels must be pairwise distinct in Leech mode
+  distinct_label      a label may not equal a taken weight (Leech mode):
+                      it is the weight of its edge, a one-edge geodesic
   sum_bound           the running weighted sum sum_e k_e*a_e must still be
                       able to land on T = t(t+1)/2 (Leech) or inside the
                       window [T-t+1, T+t-1] (almost); fixed bounds per depth
                       pair the coefficients left, largest first, with labels
                       1, 2, ... and max_label, max_label-1, ... (Leech), or
-                      with all 1 and all max_label (almost)
+                      all 1 and all max_label (almost); an explicit
+                      forced_label_sum bounds the plain sum sum_e a_e alike
   sum_divisibility    the residue of the outstanding weighted sum must be
                       reachable with the remaining coefficients' gcd
   weight_bound        a completed geodesic may not weigh more than t
@@ -37,38 +39,39 @@ Every rule only skips assignments that provably cannot reach a valid leaf,
 or, for symmetry, leaves that an automorphism maps onto one still searched,
 so an exhausted search is a certificate of non-existence within its bounds,
 and disabling rules changes cost but never the outcome. Every leaf is
-checked from scratch by _leaf_matches alone, its label sum against the
-forced_label_sum window and its weights against the verdict definition, and
+checked from scratch by _leaf_matches alone, its label sum against an
+explicit forced_label_sum's window and its weights against the verdict, and
 every witness is re-verified through the classifier before it is returned.
 
 A node is one candidate label for the edge at some depth: a value inside the
 window left after the weight_bound, complement_window and symmetry floors
 (and, at the root, the symmetry cap) that distinct_label does not reject. It
-counts whether or not its weights then collide (weight_duplicate). node_limit
-stops the search at its N-th node in counting order (below), so such a search
-runs at one worker. Otherwise each first label left is one job at workers > 1,
-handed in ascending order to whichever worker is idle; the jobs share one
-deadline, and unless find_all is set, a job stops once a smaller first label
-has found a witness, so the witness is the one a single worker finds first.
-A search left with one first label runs in this process, with no pool.
+counts whether or not the weights of its longer geodesics then collide
+(weight_duplicate). node_limit stops the search at its N-th node in counting
+order (below), so such a search runs at one worker. Otherwise each first
+label left is one job at workers > 1, handed in ascending order to whichever
+worker is idle; the jobs share one deadline, and unless find_all is set, a
+job stops once a smaller first label has found a witness, so the witness is
+the one a single worker finds first. A search left with one first label runs
+in this process, with no pool.
 
-The kernel keeps the used weights (bits 1..t) and the used labels as int
-bitsets and passes new ones down to each child, so nothing is undone on the
-way back. At each node, every geodesic the edge completes adds one shift of
-the weight set to a mask of the labels that collide once, and to one of the
-labels that collide twice; one AND then rejects every colliding candidate,
-and the loop visits only the survivors, in ascending order. A depth's whole
-node step, up to its survivor loop calling the next depth's, is one generated
-straight-line function with mode and rules resolved, built when the
-search first reaches the depth. Its code takes the depth's values as closure
-cells, so a bounded per-process memo keeps one code object per shape for all
-depths, searches and jobs. A step counts its whole window, all candidates
-in ascending order, before it descends into any of them: this is counting
-order, so a stopped search also counts the rest of each window on its path.
-The node limit, the deadline and the early stop are read in one poll, after
-a step counts, about every 4,096 nodes and at the limit; a stop takes back
-only the candidates past the limit-th node.
-The C10 preset (labels up to 31) takes 2,174,016 nodes at one worker.
+The kernel keeps the used weights (bits 1..t), every label among them, as an
+int bitset and passes a new one down to each child, so nothing is undone on
+the way back. At each node, every geodesic the edge completes adds one shift
+of the weight set to a mask of the labels that collide once, and to one of
+the labels that collide twice; one AND then rejects every colliding
+candidate, and the loop visits only the survivors, in ascending order. A
+depth's whole node step, up to its survivor loop calling the next depth's, is
+one generated straight-line function with mode and rules resolved, built when
+the search first reaches the depth. Its code takes the depth's values as
+closure cells, so a bounded per-process memo keeps one code object per shape
+for all depths, searches and jobs. A step counts its whole window, all
+candidates in ascending order, before it descends into any of them: this is
+counting order, so a stopped search also counts the rest of each window on
+its path. The node limit, the deadline and the early stop are read in one
+poll, after a step counts, about every 4,096 nodes and at the limit; a stop
+takes back only the candidates past the limit-th node. The C10 preset
+(labels up to 31) takes 1,443,060 nodes at one worker.
 """
 
 from __future__ import annotations
@@ -123,10 +126,10 @@ class SearchConfig:
 
     max_label defaults to the proven label bound in Leech mode and to t_gp in
     almost mode; a larger value is lowered to t_gp, since each edge is a
-    geodesic. forced_label_sum defaults to T/k when every edge lies on the
-    same number k of geodesics and k divides T (Leech mode only). It fixes
-    the plain label sum, as an explicit value does on any graph in Leech
-    mode; in almost mode one needs equal counts k and allows (t-1)//k slack.
+    geodesic. forced_label_sum defaults to T/k when every edge lies on k
+    geodesics and k | T (Leech mode only), which the weighted sum T enforces.
+    An explicit value bounds the plain label sum: exactly in Leech mode; in
+    almost mode it needs equal counts k and allows (t-1)//k slack.
     """
 
     mode: Mode = Mode.LEECH
@@ -144,14 +147,15 @@ class SearchOutcome:
     nodes_explored counts candidate labels inside each depth's window (after
     the weight_bound, complement_window and symmetry floors, and the root's
     symmetry cap) that distinct_label lets through, whether or not their
-    weights then collide; at workers > 1 it sums over the first-label jobs.
-    Each window is counted whole before the search descends into it. A
-    search with a node_limit stops at its N-th node in that order and runs
-    at one worker, so its outcome, elapsed aside, is the same at every
-    worker count. Unlimited searches return the
-    same status and witnesses at every worker count, and exhausted ones the
-    same nodes_explored and pruning_stats (the rules that cut anything, in
-    ALL_RULES order). max_label is the bound the search used, at most t_gp.
+    longer geodesics' weights then collide; at workers > 1 it sums over the
+    first-label jobs. Each window is counted whole before the search descends
+    into it. A node_limit search stops at its N-th node in that order and runs
+    at one worker, so its outcome, elapsed aside, is the same at every worker
+    count. Unlimited searches return the same status and witnesses at every
+    worker count, and exhausted ones the same nodes_explored and pruning_stats
+    (the rules that cut anything, in ALL_RULES order). max_label is the bound
+    used, at most t_gp; forced_label_sum the label sum, explicit or derived
+    (held by the weighted sum and the verdict).
     """
 
     status: Status
@@ -284,22 +288,18 @@ class _Prepared:
                 sum(small[:len(ks)]), sum(large[:len(ks)]),
             ))
 
+        # an explicit label sum gets a window; a derived T/k is held by the weighted sum
         self.forced_sum = cfg.forced_label_sum
-        if self.forced_sum is None and self.leech and derive_bounds:
-            self.forced_sum = _forced_label_sum(c)
-        if self.forced_sum is None:
-            self.plain_lo = self.plain_hi = None
-        elif self.leech:
-            self.plain_lo = self.plain_hi = self.forced_sum
-        else:
-            k = _common_count(c)
+        self.plain_lo = self.plain_hi = None
+        if self.forced_sum is not None:
+            k = 1 if self.leech else _common_count(c)
             if k is None:
                 raise ConfigInvalidError(
-                    "forced_label_sum in almost mode needs every edge on the "
-                    "same number of geodesics"
+                    "forced_label_sum in almost mode needs every edge on the same number of geodesics"
                 )
-            self.plain_lo = self.forced_sum - slack // k
-            self.plain_hi = self.forced_sum + slack // k
+            self.plain_lo, self.plain_hi = self.forced_sum - slack // k, self.forced_sum + slack // k
+        elif self.leech and derive_bounds:
+            self.forced_sum = _forced_label_sum(c)
 
         # a completed geodesic's weight floor; raised for cycle halves when
         # the complement argument applies
@@ -328,8 +328,8 @@ class _Prepared:
 
 
 def _leaf_matches(prep: _Prepared, labels: list[int]) -> bool:
-    """The one leaf check, whichever rules ran: the label sum window, then the
-    verdict, which implies the weighted sum window (weights sum to sum_e k_e*a_e)."""
+    """The one leaf check, whichever rules ran: an explicit label sum's window,
+    then the verdict, which implies the weighted sum T and so a derived T/k."""
     if prep.plain_lo is not None and not prep.plain_lo <= sum(labels) <= prep.plain_hi:
         return False
     weights = [sum(labels[e] for e in p.edge_ids) for p in prep.paths]
@@ -354,7 +354,7 @@ def _exact_hits(bases, wmask: int, tmask: int) -> tuple[int, int]:
 _COUNTS = ("nodes", *ALL_RULES)
 # a node step's arguments, in this order, and what it passes its child for each
 _CHILD = {"wsum": "wsum + K * v", "psum": "psum + v", "dups": "dups + (any_hit >> v & 1)",
-          "wmask": "wmask | (bb << v) & TMASK", "lmask": "lmask | low"}
+          "wmask": "wmask | (bb << v) & TMASK"}
 
 
 @functools.lru_cache(maxsize=512)
@@ -389,7 +389,7 @@ def _step_code(shape):
     if root:
         body.append("window &= FIRST")
     if distinct:
-        body += ["taken = window & lmask", "free = window ^ taken", "distinct_label += taken.bit_count()"]
+        body += ["taken = window & wmask", "free = window ^ taken", "distinct_label += taken.bit_count()"]
     survivors = free
     if budget is not None:
         # label v gives a base a taken weight exactly when bit v of wmask >>
@@ -442,7 +442,7 @@ def _node_step(prep: _Prepared, d: int, shared: dict):
     sums = "sum_bound" in rules
     params = tuple(p for p, on in zip(_CHILD, (
         sums or "sum_divisibility" in rules, sums and prep.plain_lo is not None,
-        wdup and not prep.leech, wdup, distinct,
+        wdup and not prep.leech, wdup or distinct,
     )) if on)
     # name each geodesic's partial weight (its base) once: a geodesic less an
     # end edge is one with the same last edge, completed here and shorter

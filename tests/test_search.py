@@ -249,6 +249,29 @@ class TestPruningNeutrality:
                 cuts += bounded.pruning_stats.get("sum_bound", 0)
         assert runs == 48 and cuts > 0
 
+    def test_distinct_label_is_weight_duplicate_on_one_edge_geodesics(self):
+        # a label is the weight of its edge, a one-edge geodesic, so each
+        # candidate distinct_label cuts is one that weight_duplicate would
+        # reject as a node: with the rule off the tree stays, and every cut
+        # becomes a node and a weight_duplicate rejection
+        nx = pytest.importorskip("networkx")
+        runs = [(cycle(10), SearchConfig(max_label=15)), (prism(), SearchConfig()), (wheel(6), SearchConfig()),
+                (complete(4), SearchConfig())]
+        runs += [(build_graph(6, list(a.edges())), SearchConfig()) for a in nx.graph_atlas_g()
+                 if a.number_of_nodes() == 6 and nx.is_connected(a)]
+        cut = 0
+        for g, cfg in runs:
+            on = search(g, cfg)
+            off = search(g, cfg, disabled_rules=("distinct_label",))
+            stats = dict(on.pruning_stats)
+            moved = stats.pop("distinct_label", 0)
+            stats["weight_duplicate"] = stats.get("weight_duplicate", 0) + moved
+            assert (off.status, off.witnesses, off.nodes_explored, off.pruning_stats) == (
+                on.status, on.witnesses, on.nodes_explored + moved, {k: v for k, v in stats.items() if v}
+            ), g.edges
+            cut += moved
+        assert len(runs) == 116 and cut > 0
+
     def test_unknown_rule_rejected(self):
         with pytest.raises(ConfigInvalidError, match="unknown pruning rules"):
             search(cycle(4), disabled_rules=("warp_drive",))
@@ -346,7 +369,7 @@ class TestDeterminism:
         assert (out.status, out.nodes_explored) == (Status.NODE_LIMIT, 1000)
 
     def test_prism_stops_early_at_two_workers(self, monkeypatch):
-        # one worker finds the prism's witness at node 350; in a pool, a
+        # one worker finds the prism's witness at node 174; in a pool, a
         # job running beside it sees the witness at its next poll, about
         # every 4,096 nodes, so its count depends on how the workers start
         one = search(prism())
@@ -358,15 +381,15 @@ class TestDeterminism:
             return map(fn, jobs)
 
         # run the jobs one after another in this process: label 1's job finds
-        # its witness at node 330, and each later job counts its one root
-        # label and stops at the root's poll, so the 21 jobs count the 350
+        # its witness at node 154, and each later job counts its one root
+        # label and stops at the root's poll, so the 21 jobs count the 174
         # nodes of one worker, whose root counts all 21 labels at once.
-        # Without the early stop label 2's job ran on for 18,039 nodes
+        # Without the early stop label 2's job runs on for 10,401 nodes
         module = importlib.import_module("leechlab.search")
         monkeypatch.setattr(module, "_job", None)
         monkeypatch.setattr(module, "_pool_map", in_order)
         out = search(prism(), workers=2)
-        assert (out.status, out.nodes_explored, out.witnesses) == (Status.FOUND, 350, one.witnesses)
+        assert (out.status, out.nodes_explored, out.witnesses) == (Status.FOUND, 174, one.witnesses)
 
     def test_job_stops_at_its_first_check_after_a_smaller_label_finds(self):
         from multiprocessing import Value
@@ -395,7 +418,7 @@ class TestDeterminism:
         # reaches them; nothing is taken back, so the job counts what the
         # same job stopped by a node limit at its node counts
         status, witnesses, nodes, stats = _search_single(prep, (2,), FoundAfterStart())
-        assert (status, witnesses, nodes) == (None, [], 4108)
+        assert (status, witnesses, nodes) == (None, [], 4101)
         limited = _Prepared(prism(), SearchConfig(node_limit=nodes), True, ())
         assert _search_single(limited, (2,)) == (Status.NODE_LIMIT, [], nodes, stats)
 
@@ -441,10 +464,10 @@ class TestLimits:
         "make,cfg,status,nodes",
         [
             (lambda: cycle(10), SearchConfig(max_label=31, node_limit=5000), Status.NODE_LIMIT, 5000),
-            # the whole tree is 136,052 nodes, over every first label
-            (prism, SearchConfig(forced_label_sum=74, node_limit=136053), Status.EXHAUSTED_NONE, 136052),
-            # one worker finds the witness at node 11,840
-            (lambda: wheel(6), SearchConfig(node_limit=12000), Status.FOUND, 11840),
+            # the whole tree is 87,967 nodes, over every first label
+            (prism, SearchConfig(forced_label_sum=74, node_limit=87968), Status.EXHAUSTED_NONE, 87967),
+            # one worker finds the witness at node 4,681
+            (lambda: wheel(6), SearchConfig(node_limit=5000), Status.FOUND, 4681),
         ],
         ids=["C10-31", "prism-74", "W6"],
     )
@@ -464,11 +487,11 @@ class TestLimits:
         assert out.elapsed < 1.5
 
     def test_every_node_limit_on_the_prism(self):
-        # the prism finds its witness at node 350: every smaller limit stops
+        # the prism finds its witness at node 174: every smaller limit stops
         # at exactly its node, and no pruning count falls as the limit grows
         g, before = prism(), {}
-        assert search(g).nodes_explored == 350
-        for n in range(1, 350):
+        assert search(g).nodes_explored == 174
+        for n in range(1, 174):
             out = search(g, SearchConfig(node_limit=n))
             assert (out.status, out.nodes_explored) == (Status.NODE_LIMIT, n)
             assert all(out.pruning_stats.get(rule, 0) >= before.get(rule, 0) for rule in ALL_RULES), n
@@ -507,7 +530,9 @@ class TestLimits:
     @pytest.mark.parametrize(
         "g,cfg,disabled",
         [
-            (cycle(5), SearchConfig(), ("sum_divisibility",)),
+            # C5 loses its divisibility test, and its sum bound too, so its
+            # tree exhausts past 100 nodes (106)
+            (cycle(5), SearchConfig(), ("sum_divisibility", "sum_bound")),
             (cycle(6), SearchConfig(), ("sum_divisibility",)),
             (cycle(10), SearchConfig(max_label=14), ()),
             # found searches: the last node is in the window of the witness's
@@ -600,10 +625,33 @@ class TestDerivedBounds:
         # prism edges lie on unequal numbers of geodesics, so no sum is
         # derived; an explicit one must still hold at every leaf
         found = search(prism(), SearchConfig(forced_label_sum=73))
-        assert (found.status, found.nodes_explored) == (Status.FOUND, 350)
+        assert (found.status, found.nodes_explored) == (Status.FOUND, 174)
         assert sum(found.witnesses[0].labels) == 73
         none = search(prism(), SearchConfig(forced_label_sum=74))
-        assert (none.status, none.nodes_explored) == (Status.EXHAUSTED_NONE, 136052)
+        assert (none.status, none.nodes_explored) == (Status.EXHAUSTED_NONE, 87967)
+
+    @pytest.mark.parametrize("make, cfg", [(lambda: cycle(10), SearchConfig(max_label=15)), (lambda: wheel(6), SearchConfig())],
+                             ids=["C10-15", "W6"])
+    def test_derived_sum_is_left_to_the_weighted_sum(self, make, cfg):
+        # every edge on k geodesics: the derived label sum T/k is the weighted
+        # sum T over k, so the steps carry no plain sum of their own
+        prep = _Prepared(make(), cfg, True, ())
+        assert prep.forced_sum is not None
+        state = dict.fromkeys(("wsum", "psum", "dups", "wmask"), 0)
+        for d in range(prep.m):
+            assert run_step(prep, d, [1] * prep.m, state, 0)[2] == ("wsum", "wmask"), d
+
+    def test_explicit_label_sum_keeps_its_plain_window(self):
+        # an explicit sum is no weighted sum on the prism's unequal counts,
+        # so its steps bound the plain sum (psum) beside the weighted one
+        prep = _Prepared(prism(), SearchConfig(forced_label_sum=74), True, ())
+        state = dict.fromkeys(("wsum", "psum", "dups", "wmask"), 0)
+        for d in range(prep.m):
+            assert run_step(prep, d, [1] * prep.m, state, 0)[2] == ("wsum", "psum", "wmask"), d
+        # W9's 18 labels cannot reach the sum 10,000: the root's plain bound
+        # stops the search before any node
+        out = search(wheel(9), SearchConfig(forced_label_sum=10000))
+        assert (out.status, out.nodes_explored, out.pruning_stats) == (Status.EXHAUSTED_NONE, 0, {"sum_bound": 1})
 
     def test_seedless_searches_full_range(self):
         out = search(cycle(4), SearchConfig(node_limit=10), derive_bounds=False)
@@ -929,7 +977,8 @@ class TestCensusCorpus:
         # all 112 connected graphs on 6 vertices; 2,446,564 nodes when edge
         # ties went by edge id alone, 662,630 in fail-first order, 642,013
         # with the root symmetry cap, 613,754 with ties broken toward edges
-        # with lex-leader floors
+        # with lex-leader floors, 621,233 in counting order, and 322,089
+        # since distinct_label reads the weight set
         nx = pytest.importorskip("networkx")
         lines = [
             nx.to_graph6_bytes(a, header=False).decode().strip()
@@ -980,21 +1029,36 @@ class TestCensusCorpus:
         assert (rows[2].n, rows[2].m, rows[2].t_gp) == (1, 0, 0)
 
 
+def suffix_bounds(prep, d):
+    """The gcd of the geodesic counts k of the edges order[d:], and the least
+    and greatest sum_e k_e*a_e and sum_e a_e those edges can add, from the
+    counts, max_label and mode alone: the i-th largest k meets label i + 1
+    and label max_label - i when labels are distinct (Leech mode; no label
+    is left below 1), and 1 and max_label each in almost mode."""
+    ks = sorted(prep.k_by_depth[d:], reverse=True)
+    if prep.leech:
+        small = [i + 1 for i in range(len(ks))]
+        large = [max(prep.max_label - i, 0) for i in range(len(ks))]
+    else:
+        small, large = [1] * len(ks), [prep.max_label] * len(ks)
+    sums = (sum(k * a for k, a in zip(ks, small)), sum(k * a for k, a in zip(ks, large)), sum(small), sum(large))
+    return math.gcd(*ks), sums
+
+
 def plain_step(prep, d, labels, state, first_mask):
     """What depth d's node step does, one rule and one candidate label at a
     time: the counts it adds, keyed as pruning_stats plus "nodes", and the
-    label and state (wsum, psum, dups, wmask, lmask) it hands each child."""
+    label and state (wsum, psum, dups, wmask) it hands each child."""
     rules, t, counts = prep.rules, prep.t, {}
 
     def add(key, n=1):
         if n:
             counts[key] = counts.get(key, 0) + n
 
-    gcd = prep.suffix_gcd[d] if "sum_divisibility" in rules else 1
-    if (prep.weighted_hi - state["wsum"]) % gcd > prep.weighted_hi - prep.weighted_lo:
+    gcd, (wmin, wmax, pmin, pmax) = suffix_bounds(prep, d)
+    if "sum_divisibility" in rules and (prep.weighted_hi - state["wsum"]) % gcd > prep.weighted_hi - prep.weighted_lo:
         return {"sum_divisibility": 1}, []
     if "sum_bound" in rules:
-        wmin, wmax, pmin, pmax = prep.suffix_sums[d]
         inside = prep.weighted_lo - wmax <= state["wsum"] <= prep.weighted_hi - wmin
         if prep.plain_lo is not None:
             inside = inside and prep.plain_lo - pmax <= state["psum"] <= prep.plain_hi - pmin
@@ -1016,7 +1080,8 @@ def plain_step(prep, d, labels, state, first_mask):
     for v in range(lo, hi + 1):
         if d == 0 and not first_mask >> v & 1:
             continue
-        if prep.leech and "distinct_label" in rules and state["lmask"] >> v & 1:
+        # a label is the weight of its edge, a one-edge geodesic
+        if prep.leech and "distinct_label" in rules and state["wmask"] >> v & 1:
             add("distinct_label")
             continue
         add("nodes")
@@ -1030,7 +1095,7 @@ def plain_step(prep, d, labels, state, first_mask):
         children.append((v, {
             "wsum": state["wsum"] + prep.k_by_depth[d] * v, "psum": state["psum"] + v,
             "dups": state["dups"] + (hits > 0) * ("weight_duplicate" in rules),
-            "wmask": state["wmask"] | sum(1 << w for w in set(weights) if w <= t), "lmask": state["lmask"] | 1 << v,
+            "wmask": state["wmask"] | sum(1 << w for w in set(weights) if w <= t),
         }))
     return counts, children
 
@@ -1063,10 +1128,9 @@ class TestNodeStep:
     def check_steps(self, prep, rng, trials, top):
         """Every depth's node step against plain_step, with a poll due or not,
         on random labels 1..top for the edges placed before it, weighted and
-        plain sums near the depth's windows, and random weight and label sets."""
+        plain sums near the depth's windows, and random weight sets."""
         for d in range(prep.m):
-            gcd = prep.suffix_gcd[d]
-            wmin, wmax, pmin, pmax = prep.suffix_sums[d]
+            gcd, (wmin, wmax, pmin, pmax) = suffix_bounds(prep, d)
             for _ in range(trials):
                 labels = [0] * prep.m
                 for e in prep.order[:d]:
@@ -1079,7 +1143,7 @@ class TestNodeStep:
                     psum = rng.randint(prep.plain_lo - pmax - 1, prep.plain_hi - pmin + 1)
                 state = {
                     "wsum": wsum, "psum": psum, "dups": 0 if prep.leech else rng.randint(0, 1),
-                    "wmask": rng.getrandbits(prep.t + 1), "lmask": rng.getrandbits(prep.max_label + 1),
+                    "wmask": rng.getrandbits(prep.t + 1),
                 }
                 first_mask = rng.getrandbits(prep.max_label + 1)
                 counts, children = plain_step(prep, d, labels, state, first_mask)
@@ -1132,7 +1196,7 @@ class TestNodeStep:
                 return list.__getitem__(self, i)
 
         prep = _Prepared(cycle(40), SearchConfig(), True, ("sum_bound", "sum_divisibility", "symmetry"))
-        state = dict.fromkeys(("wsum", "psum", "dups", "wmask", "lmask"), 0)
+        state = dict.fromkeys(("wsum", "psum", "dups", "wmask"), 0)
         for d, group in enumerate(prep.completed_at):
             CountingLabels.reads = 0
             run_step(prep, d, CountingLabels([1] * prep.m), state, 1 << 1)
@@ -1174,7 +1238,7 @@ class TestStepMemo:
         search(cycle(10), SearchConfig(max_label=15))
         misses = _step_code.cache_info().misses
         out = search(cycle(10), SearchConfig(max_label=15))
-        assert out.nodes_explored == 102521
+        assert out.nodes_explored == 73087
         assert _step_code.cache_info().misses == misses
 
     def test_limits_compile_nothing(self):
@@ -1196,7 +1260,7 @@ class TestStepMemo:
         prep = _Prepared(cycle(10), SearchConfig(max_label=15), True, ())
         found = Value("i", prep.max_label + 1)
         nodes = sum(_search_single(prep, (v,), found)[2] for v in range(1, 16))
-        assert nodes == 297899
+        assert nodes == 217928
         assert len(built) == 101  # 15 jobs, each building the depths it reaches
         assert _step_code.cache_info().misses == 6
 
