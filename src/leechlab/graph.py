@@ -6,8 +6,10 @@ Enumeration is the ground truth every closed-form count in this package is
 checked against, so it is deliberately simple, and _walk alone does it: each
 source u builds a path trie of the geodesics from u to the vertices above u,
 a BFS layer at a time, with a node for each such geodesic and for each of
-their prefixes, and no other. Paths, census and weights are read off it, and
-a one-entry memo keeps the last graph's walk for the next call on it.
+their prefixes, and no other. Its BFS stops at the layer of the last vertex
+above u, as no geodesic u owns goes further, so a dense graph costs about
+O(m), not O(n * m). Paths, census and weights are read off the tries, and a
+one-entry memo keeps the last graph's walk for the next call on it.
 """
 
 from __future__ import annotations
@@ -182,13 +184,19 @@ def _walk(g: Graph) -> tuple[tuple[int, tuple[tuple[int, int, int, int], ...]], 
     x > u are those geodesics, and every other node but the root lies on one.
 
     Per source, one BFS records each reached vertex's next layer, the
-    (vertex, edge id) pairs one step further from u, in ascending edge id. A
-    pass back over the BFS order keeps the vertices above u and those with a
-    kept vertex in their next layer. The trie then grows breadth first over
-    kept vertices only: a layer's paths all have one length, so taking edges
-    by ascending id leaves each layer in lexicographic order. Distances and
-    kept marks are stamped with u in arrays made once per graph, so a source
-    costs time in its component only.
+    (vertex, edge id) pairs one step further from u, in ascending edge id.
+    It counts the vertices above u not reached yet, and once the count is 0,
+    with the last of them reached at distance L, it expands no further: the
+    vertices at distance L get an empty next layer. That loses nothing, since
+    an owned geodesic ends at distance at most L and every vertex inside it
+    is nearer. A pass back over the BFS order keeps the vertices above u and
+    those with a kept vertex in their next layer. The trie then grows breadth
+    first over kept vertices only: a layer's paths all have one length, so
+    taking edges by ascending id leaves each layer in lexicographic order.
+    Distances and kept marks are stamped with u in arrays made once per
+    graph, so a source costs time in its component only. The count also
+    counts vertices of other components, so there it never reaches 0 and
+    the BFS covers u's whole component.
     """
     n = g.vertex_count
     adj = [sorted(a, key=lambda p: p[1]) for a in g._adj]  # by edge id
@@ -198,21 +206,27 @@ def _walk(g: Graph) -> tuple[tuple[int, tuple[tuple[int, int, int, int], ...]], 
     walk = []
     for u in range(n):
         base = dist[u] = u * n
-        order = [u]
-        for x in order:  # the list grows as it is read: it is the BFS queue
-            dw = dist[x] + 1
-            step[x] = nxt = []
-            for p in adj[x]:
-                w = p[0]
-                d = dist[w]
-                if d < base:
-                    dist[w] = dw
-                    order.append(w)
-                    nxt.append(p)
-                    if w > u:
-                        kept[w] = u
-                elif d == dw:
-                    nxt.append(p)
+        order, layer, left = [u], [u], n - 1 - u  # left: owned vertices not reached
+        while left and layer:
+            dw, found = dist[layer[0]] + 1, []
+            for x in layer:
+                step[x] = nxt = []
+                for p in adj[x]:
+                    w = p[0]
+                    d = dist[w]
+                    if d < base:
+                        dist[w] = dw
+                        found.append(w)
+                        nxt.append(p)
+                        if w > u:
+                            kept[w] = u
+                            left -= 1
+                    elif d == dw:
+                        nxt.append(p)
+            order += found
+            layer = found
+        for x in layer:  # the last owned vertex's layer, or none: not expanded
+            step[x] = ()
         for x in reversed(order):  # a next layer is decided before its vertex
             if kept[x] != u:
                 for w, _ in step[x]:
@@ -254,29 +268,35 @@ def count_geodesics(g: Graph) -> int:
 
     One BFS per source counts as it goes: a vertex at distance d + 1 is
     reached by as many geodesics as its neighbors at distance d together.
-    No path is built and _walk is not used, so this stays an independent
-    cross-check of len(enumerate_geodesics(g)).
+    Each pair is counted once, from its smaller end: source u sums the
+    counts of the vertices above it, and its BFS stops once the layer
+    holding the last of them has its counts, which only the layer before
+    adds to. No path is built and _walk is not used, so this stays an
+    independent cross-check of len(enumerate_geodesics(g)).
     """
-    total = 0
+    n, total = g.vertex_count, 0
     nbrs = [[w for w, _ in a] for a in g._adj]
-    dist = [-1] * g.vertex_count  # -1: not reached yet from this source
-    ways = [0] * g.vertex_count
-    for u in range(g.vertex_count):
-        dist[u], ways[u] = 0, 1
-        order = [u]
-        for x in order:  # the list grows as it is read: it is the BFS queue
-            dw, wx = dist[x] + 1, ways[x]
-            for w in nbrs[x]:
-                d = dist[w]
-                if d < 0:
-                    dist[w], ways[w] = dw, wx
-                    order.append(w)
-                elif d == dw:
-                    ways[w] += wx
-        total += sum(map(ways.__getitem__, order)) - 1  # every v != u
-        for v in order:
-            dist[v] = -1
-    return total // 2  # each pair was counted from both ends
+    dist = [-1] * n  # u * n + distance once reached from u: below u * n is unreached
+    ways = [0] * n
+    for u in range(n):
+        base = dist[u] = u * n
+        ways[u], layer, owned = 1, [u], []
+        while layer and len(owned) < n - 1 - u:  # until every vertex above u is reached
+            dw, found = dist[layer[0]] + 1, []
+            for x in layer:
+                wx = ways[x]
+                for w in nbrs[x]:
+                    d = dist[w]
+                    if d < base:
+                        dist[w], ways[w] = dw, wx
+                        found.append(w)
+                        if w > u:
+                            owned.append(w)
+                    elif d == dw:
+                        ways[w] += wx
+            layer = found
+        total += sum(map(ways.__getitem__, owned))
+    return total
 
 
 def stabilizer_orbits(g: Graph, order) -> Iterator[tuple[int, ...]]:

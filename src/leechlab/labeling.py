@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
@@ -47,20 +48,21 @@ class ClassificationReport:
 
 
 def verdict_of(weights, t: int) -> Verdict:
-    """Verdict of a multiset of geodesic weights (or their Counter), given t_gp t.
+    """Verdict of a multiset of geodesic weights (or their Counter, read as
+    is), given t_gp t.
 
     Geodesic Leech means the weights are exactly {1, ..., t}. Almost means
     every weight lies in 1..t, exactly one of those values is missing and
     exactly one weight occurs exactly twice. A value of multiplicity three
     or more is never almost.
     """
-    counts = Counter(weights)
-    if any(w < 1 or w > t for w in counts):
+    counts = weights if isinstance(weights, Counter) else Counter(weights)
+    if counts and (min(counts) < 1 or max(counts) > t):
         return Verdict.NEITHER
-    repeated = [c for c in counts.values() if c > 1]
-    if not repeated and len(counts) == t:
+    repeats = counts.total() - len(counts)  # 1 when one value is doubled, and only then
+    if repeats == 0 and len(counts) == t:
         return Verdict.GEODESIC_LEECH
-    if repeated == [2] and len(counts) == t - 1:
+    if repeats == 1 and len(counts) == t - 1:
         return Verdict.ALMOST_GEODESIC_LEECH
     return Verdict.NEITHER
 
@@ -92,9 +94,9 @@ def classify(g: Graph, lab: Labeling | Sequence[int]) -> ClassificationReport:
                 weights.append(w)
     weights.sort()
     t_gp = len(weights)
-    counts = Counter(weights)
-    missing = tuple(v for v in range(1, t_gp + 1) if v not in counts)
-    duplicates = tuple((v, c) for v, c in sorted(counts.items()) if c > 1)
-    overshoot = tuple(sorted(v for v in counts if v > t_gp))
+    counts = Counter(weights)  # its keys ascend, as the weights do
+    missing = tuple(sorted(set(range(1, t_gp + 1)).difference(counts)))
+    duplicates = tuple((v, c) for v, c in counts.items() if c > 1)
+    overshoot = tuple(dict.fromkeys(weights[bisect_right(weights, t_gp):]))
     verdict = verdict_of(counts, t_gp)
     return ClassificationReport(verdict, t_gp, tuple(weights), missing, duplicates, overshoot)

@@ -10,8 +10,10 @@ import pytest
 from leechlab.errors import DuplicateEdgeError, SelfLoopError, VertexOutOfRangeError
 from leechlab.families import (
     beineke_graphs,
+    complete,
     complete_bipartite,
     cycle,
+    path,
     small_connected_catalog,
     wheel,
 )
@@ -26,6 +28,18 @@ from leechlab.graph import (
     enumerate_geodesics,
 )
 from leechlab.labeling import classify
+
+
+# the geodesic total, each way it is computed
+TOTALS = pytest.mark.parametrize(
+    "total",
+    [
+        lambda g: census(g).total,
+        count_geodesics,
+        lambda g: classify(g, range(1, g.edge_count + 1)).t_gp,
+    ],
+    ids=["census", "count", "classify"],
+)
 
 
 def triangle():
@@ -121,20 +135,22 @@ class TestEnumerateGeodesics:
         assert count_geodesics(g) == 0
         assert time.perf_counter() - start < 2.0
 
-    @pytest.mark.parametrize(
-        "total",
-        [
-            lambda g: census(g).total,
-            count_geodesics,
-            lambda g: classify(g, range(1, g.edge_count + 1)).t_gp,
-        ],
-        ids=["census", "count", "classify"],
-    )
+    @TOTALS
     def test_many_components_cost_linear_time(self, total):
         # n/2 disjoint edges: 0.85 s at n = 2,000 when each source paid for n
         g = Graph(8000, [(2 * i, 2 * i + 1) for i in range(4000)])
         start = time.perf_counter()
         assert total(g) == 4000
+        assert time.perf_counter() - start < 1.0
+
+    @TOTALS
+    def test_dense_graph_costs_linear_time(self, total):
+        # each source stops at the layer of the last vertex above it, here
+        # its neighbours; a whole BFS from each source took 2-3 s, n * m steps
+        g = complete(400)
+        _walk.cache_clear()
+        start = time.perf_counter()
+        assert total(g) == 79800
         assert time.perf_counter() - start < 1.0
 
 
@@ -326,6 +342,11 @@ def test_enumeration_matches_networkx_beyond_the_atlas():
     assert sum(not nx.is_connected(h) for h in hs) == 3
     graphs = [build_graph(h.number_of_nodes(), list(h.edges())) for h in hs]
     graphs += [cycle(n) for n in range(8, 13)] + [wheel(8), complete_bipartite(4, 4)]
+    # where the BFS stops earliest, and a K4 at the end of a 6-vertex tail
+    # numbered from the tail's far end: the clique's sources stop one layer
+    # out, where a whole BFS walked the tail
+    tail = [(i, i + 1) for i in range(6)] + [(a, b) for a in range(6, 10) for b in range(a + 1, 10)]
+    graphs += [complete(12), wheel(12), path(12), build_graph(10, tail)]
     for g in graphs:
         assert_matches_networkx(nx, g)
 
