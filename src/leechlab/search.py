@@ -8,15 +8,14 @@ every search. It prunes with:
 
   distinct_label      a label may not equal a taken weight (Leech mode):
                       it is the weight of its edge, a one-edge geodesic
-  sum_bound           the running weighted sum sum_e k_e*a_e must still be
-                      able to land on T = t(t+1)/2 (Leech) or inside the
-                      window [T-t+1, T+t-1] (almost); fixed bounds per depth
-                      pair the coefficients left, largest first, with labels
-                      1, 2, ... and max_label, max_label-1, ... (Leech), or
-                      all 1 and all max_label (almost); an explicit
-                      forced_label_sum bounds the plain sum sum_e a_e alike
-  sum_divisibility    the residue of the outstanding weighted sum must be
-                      reachable with the remaining coefficients' gcd
+  sum_bound           an explicit forced_label_sum bounds the running label
+                      sum sum_e a_e: the r edges left add at least 1 + ... + r
+                      and at most max_label + ... + (max_label - r + 1)
+                      (Leech), or r and r*max_label (almost), and must land
+                      on the sum (Leech) or within (t-1)//k of it (almost)
+  sum_divisibility    Leech mode: the weighted sum sum_e k_e*a_e is T =
+                      t(t+1)/2, so T less its running value must be a
+                      multiple of the gcd of the coefficients k left
   weight_bound        a completed geodesic may not weigh more than t
   weight_duplicate    duplicate weights are forbidden (Leech) or limited to
                       a single doubled value (almost)
@@ -71,7 +70,7 @@ counting order, so a stopped search also counts the rest of each window on
 its path. The node limit, the deadline and the early stop are read in one
 poll, after a step counts, about every 4,096 nodes and at the limit; a stop
 takes back only the candidates past the limit-th node. The C10 preset
-(labels up to 31) takes 1,443,060 nodes at one worker.
+(labels up to 31) takes 1,469,370 nodes at one worker.
 """
 
 from __future__ import annotations
@@ -80,10 +79,10 @@ import enum
 import functools
 import itertools
 import math
+import numbers
 import time
 import types
 from dataclasses import dataclass, replace
-from operator import mul
 from typing import Iterator
 
 from .errors import ConfigInvalidError, EmptyGraphError, UnknownPresetError
@@ -127,9 +126,9 @@ class SearchConfig:
     max_label defaults to the proven label bound in Leech mode and to t_gp in
     almost mode; a larger value is lowered to t_gp, since each edge is a
     geodesic. forced_label_sum defaults to T/k when every edge lies on k
-    geodesics and k | T (Leech mode only), which the weighted sum T enforces.
-    An explicit value bounds the plain label sum: exactly in Leech mode; in
-    almost mode it needs equal counts k and allows (t-1)//k slack.
+    geodesics and k | T (Leech mode only), which the verdict's weighted sum T
+    enforces. An explicit value bounds the plain label sum: exactly in Leech
+    mode; in almost mode it needs equal counts k and allows (t-1)//k slack.
     """
 
     mode: Mode = Mode.LEECH
@@ -155,7 +154,7 @@ class SearchOutcome:
     worker count, and exhausted ones the same nodes_explored and pruning_stats
     (the rules that cut anything, in ALL_RULES order). max_label is the bound
     used, at most t_gp; forced_label_sum the label sum, explicit or derived
-    (held by the weighted sum and the verdict).
+    (held by the verdict's weighted sum).
     """
 
     status: Status
@@ -174,14 +173,17 @@ class _Stop(Exception):
         self.status = status  # None: a job with a smaller first label found a witness
 
 
-def _validate_limits(time_limit, node_limit, workers: int) -> None:
-    # not "<= 0": that is false for NaN, which would run with no limit at all
-    if time_limit is not None and not time_limit > 0:
-        raise ConfigInvalidError(f"time_limit must be positive, got {time_limit}")
-    if node_limit is not None and node_limit < 1:
-        raise ConfigInvalidError(f"node_limit must be >= 1, got {node_limit}")
-    if workers < 1:
-        raise ConfigInvalidError(f"workers must be >= 1, got {workers}")
+def _check_values(**values) -> None:
+    """Raise ConfigInvalidError unless each value is None or a positive int
+    (time_limit: a positive real number; forced_label_sum: any int). A bool
+    is an int, yet no count; 2.5 would run as 2; and "<= 0" is false for NaN,
+    which would run with no limit at all."""
+    for name, value in values.items():
+        kind = numbers.Real if name == "time_limit" else int
+        least = -math.inf if name == "forced_label_sum" else 0
+        if value is not None and (isinstance(value, bool) or not isinstance(value, kind) or not value > least):
+            what = ("a positive " if least == 0 else "an ") + ("real number" if kind is numbers.Real else "int")
+            raise ConfigInvalidError(f"{name} must be {what}, got {value!r}")
 
 
 def _validate(g: Graph, cfg: SearchConfig, workers: int) -> None:
@@ -189,9 +191,8 @@ def _validate(g: Graph, cfg: SearchConfig, workers: int) -> None:
         raise EmptyGraphError("search needs a graph with at least one edge")
     if not isinstance(cfg.mode, Mode):
         raise ConfigInvalidError(f"unknown mode {cfg.mode!r}")
-    if cfg.max_label is not None and cfg.max_label < 1:
-        raise ConfigInvalidError(f"max_label must be >= 1, got {cfg.max_label}")
-    _validate_limits(cfg.time_limit, cfg.node_limit, workers)
+    _check_values(max_label=cfg.max_label, forced_label_sum=cfg.forced_label_sum, time_limit=cfg.time_limit,
+                  node_limit=cfg.node_limit, workers=workers)
     # m distinct labels sum to at least m(m+1)/2; an almost labeling may
     # repeat labels, so in almost mode a sum too low only exhausts the search
     m, forced = g.edge_count, cfg.forced_label_sum
@@ -206,8 +207,7 @@ class _Prepared:
 
     __slots__ = (
         "mode", "paths", "t", "m", "order", "k_by_depth",
-        "suffix_gcd", "suffix_sums", "max_label", "plain_lo", "plain_hi",
-        "weighted_lo", "weighted_hi", "forced_sum", "completed_at", "rules",
+        "max_label", "plain_lo", "plain_hi", "forced_sum", "completed_at", "rules",
         "find_all", "deadline", "node_limit", "leech", "symmetry", "first_labels",
     )
 
@@ -258,13 +258,6 @@ class _Prepared:
                     completes[last] += 1
         pos = {eid: d for d, eid in enumerate(self.order)}
         self.k_by_depth = [c.per_edge[eid] for eid in self.order]
-        self.suffix_gcd = [0] * (self.m + 1)
-        for d in range(self.m - 1, -1, -1):
-            self.suffix_gcd[d] = math.gcd(self.k_by_depth[d], self.suffix_gcd[d + 1])
-
-        total = _weight_total(t)
-        slack = 0 if self.leech else t - 1  # how far an almost labeling's weights may sum from T
-        self.weighted_lo, self.weighted_hi = total - slack, total + slack
 
         if cfg.max_label is not None:
             self.max_label = min(cfg.max_label, t)
@@ -273,22 +266,8 @@ class _Prepared:
         else:
             self.max_label = t
 
-        # per depth d, the least and greatest sum_e k_e*a_e and sum_e a_e that
-        # the edges order[d:] can still add: their coefficients, in descending
-        # order, meet the labels 1, 2, 3, ... and max_label, max_label - 1, ...
-        # where labels are distinct (Leech mode), all 1 and all max_label else;
-        # a range shorter than the edges left has no Leech labeling to lose
-        small = range(1, self.m + 1) if self.leech else [1] * self.m
-        large = range(self.max_label, 0, -1) if self.leech else [self.max_label] * self.m
-        self.suffix_sums = []
-        for d in range(self.m):
-            ks = sorted(self.k_by_depth[d:], reverse=True)
-            self.suffix_sums.append((
-                sum(map(mul, ks, small)), sum(map(mul, ks, large)),
-                sum(small[:len(ks)]), sum(large[:len(ks)]),
-            ))
-
-        # an explicit label sum gets a window; a derived T/k is held by the weighted sum
+        # an explicit label sum gets a window; a derived T/k is held by the
+        # verdict, whose weights sum to T
         self.forced_sum = cfg.forced_label_sum
         self.plain_lo = self.plain_hi = None
         if self.forced_sum is not None:
@@ -297,7 +276,9 @@ class _Prepared:
                 raise ConfigInvalidError(
                     "forced_label_sum in almost mode needs every edge on the same number of geodesics"
                 )
-            self.plain_lo, self.plain_hi = self.forced_sum - slack // k, self.forced_sum + slack // k
+            # an almost labeling's weights sum to within t - 1 of T
+            slack = 0 if self.leech else (t - 1) // k
+            self.plain_lo, self.plain_hi = self.forced_sum - slack, self.forced_sum + slack
         elif self.leech and derive_bounds:
             self.forced_sum = _forced_label_sum(c)
 
@@ -363,15 +344,14 @@ def _step_code(shape):
     process. The source names every value of its search and depth (edge ids,
     bounds, floors, k, masks, the next depth) as a free variable, so the code
     serves every depth, search and job of its shape; _node_step binds them."""
-    params, root, distinct, budget, wbound, gcd, sums, lines, bases, floors, n_sym = shape
+    params, root, distinct, budget, wbound, gcd, lines, bases, floors, n_sym = shape
     name = {-1: "0", **{i: f"b{i}" for i in range(len(lines))}}  # base -1 is the edge's own
     free = "free" if distinct else "window"
     body = []
-    if gcd:  # the weighted sum to go needs a multiple of gcd in [lo, hi]
-        body += [f"if {gcd}:", "    sum_divisibility += 1", "    return"]
-    tests = (["wsum < WLO", "wsum > WHI"] if sums else []) + (["psum < PLO", "psum > PHI"] if "psum" in params else [])
-    if tests:
-        body += [f"if {' or '.join(tests)}:", "    sum_bound += 1", "    return"]
+    if gcd:  # the weighted sum to go, T - wsum, is a multiple of G
+        body += ["if (T - wsum) % G:", "    sum_divisibility += 1", "    return"]
+    if "psum" in params:
+        body += ["if psum < PLO or psum > PHI:", "    sum_bound += 1", "    return"]
     # each base is a base named before it plus one label
     body += [f"b{i} = {'' if prev < 0 else name[prev] + ' + '}labels[E{i}]" for i, prev in enumerate(lines)]
     body.append("bb = " + " | ".join(f"1 << {name[b]}" for b in bases))
@@ -419,8 +399,8 @@ def _step_code(shape):
     body += [f"nodes += {free}.bit_count()", "if nodes >= due:", f"    poll({free}, {0 if budget is None else 'bad'})",
              f"survivors = {survivors}", "while survivors:", "    low = survivors & -survivors", "    survivors ^= low",
              f"    {descend}"]
-    names = [*_COUNTS, "labels", "due", "poll", "nxt", "FIRST", "EID", "K", "G", "HI", "SPAN", "WLO", "WHI",
-             "PLO", "PHI", "VMAX", "T1", "TMASK", *(f"E{i}" for i in range(len(lines))),
+    names = [*_COUNTS, "labels", "due", "poll", "nxt", "FIRST", "EID", "K", "G", "T", "PLO", "PHI", "VMAX", "T1",
+             "TMASK", *(f"E{i}" for i in range(len(lines))),
              *(f"F{j}" for j in range(len(floors))), *(f"S{j}" for j in range(n_sym))]
     source = "\n".join([
         f"def factory({', '.join(names)}):", f"    def step({', '.join(params)}):",
@@ -439,11 +419,10 @@ def _node_step(prep: _Prepared, d: int, shared: dict):
     rules, t = prep.rules, prep.t
     wdup = "weight_duplicate" in rules
     distinct = prep.leech and "distinct_label" in rules
-    sums = "sum_bound" in rules
-    params = tuple(p for p, on in zip(_CHILD, (
-        sums or "sum_divisibility" in rules, sums and prep.plain_lo is not None,
-        wdup and not prep.leech, wdup or distinct,
-    )) if on)
+    divisible = prep.leech and "sum_divisibility" in rules
+    gcd = math.gcd(*prep.k_by_depth[d:])  # of the coefficients of the weighted sum to go
+    plain = "sum_bound" in rules and prep.plain_lo is not None
+    params = tuple(p for p, on in zip(_CHILD, (divisible, plain, wdup and not prep.leech, wdup or distinct)) if on)
     # name each geodesic's partial weight (its base) once: a geodesic less an
     # end edge is one with the same last edge, completed here and shorter
     names = {frozenset(): -1}
@@ -459,22 +438,21 @@ def _node_step(prep: _Prepared, d: int, shared: dict):
         if floor > 1:
             floors.append(names[key])
             raised.append(floor)
-    gcd = prep.suffix_gcd[d] if "sum_divisibility" in rules else 1
-    wmin, wmax, pmin, pmax = prep.suffix_sums[d]
     values = {
-        "EID": prep.order[d], "K": prep.k_by_depth[d], "G": gcd, "HI": prep.weighted_hi,
-        "SPAN": prep.weighted_hi - prep.weighted_lo, "WLO": prep.weighted_lo - wmax, "WHI": prep.weighted_hi - wmin,
+        "EID": prep.order[d], "K": prep.k_by_depth[d], "G": gcd, "T": _weight_total(t),
         "VMAX": prep.max_label, "T1": t + 1, "TMASK": (2 << t) - 1,  # bit w for every weight 0..t
         **{f"E{i}": e for i, e in enumerate(cuts)}, **{f"F{j}": f for j, f in enumerate(raised)},
         **{f"S{j}": e for j, e in enumerate(prep.symmetry[d])},
     }
-    if prep.plain_lo is not None:
-        values.update(PLO=prep.plain_lo - pmax, PHI=prep.plain_hi - pmin)
-    # Leech mode's weighted sum window is one value: any residue left cuts
-    gcd_test = "(HI - wsum) % G" + ("" if prep.leech else " > SPAN") if gcd > 1 else None
+    if plain:
+        # the r labels left add at least 1 + ... + r and at most top + ... +
+        # (top - r + 1) when distinct (Leech mode), r and r * top else
+        r, top = prep.m - d, prep.max_label
+        least, most = (r * (r + 1) // 2, r * top - r * (r - 1) // 2) if prep.leech else (r, r * top)
+        values.update(PLO=prep.plain_lo - most, PHI=prep.plain_hi - least)
     code = _step_code((
         params, d == 0, distinct, (0 if prep.leech else 1) if wdup else None, "weight_bound" in rules,
-        gcd_test, sums, tuple(lines), tuple(bases), tuple(floors), len(prep.symmetry[d]),
+        divisible and gcd > 1, tuple(lines), tuple(bases), tuple(floors), len(prep.symmetry[d]),
     ))
     closure = tuple(shared[n] if n in shared else types.CellType(values[n]) for n in code.co_freevars)
     return types.FunctionType(code, globals(), f"depth_{d}", None, closure)
@@ -768,7 +746,7 @@ def census_corpus(
     Invalid limits and worker counts below 1 raise ConfigInvalidError
     before any row runs.
     """
-    _validate_limits(time_limit, node_limit, workers)
+    _check_values(time_limit=time_limit, node_limit=node_limit, workers=workers)
     jobs = [(i, g, time_limit, node_limit) for i, g in enumerate(graphs)]
     return _pool_map(_corpus_row, jobs, workers)
 

@@ -347,7 +347,7 @@ class TestDeterminism:
         ids=["C5", "C6", "C7", "C8", "C9", "K33", "C10-14", "prism-74"],
     )
     def test_exhausted_search_costs_the_same_at_every_worker_count(self, make, cfg):
-        # C5-C9 and K3,3 are cut at the root by the sum bounds, which count
+        # C5-C9 and K3,3 are cut at the root by the divisibility test, which counts
         # once however many jobs there would be; the last two search a tree,
         # C10's under one first label and the prism's under all of them
         outs = [search(make(), cfg, workers=w) for w in (1, 2, 3)]
@@ -464,8 +464,8 @@ class TestLimits:
         "make,cfg,status,nodes",
         [
             (lambda: cycle(10), SearchConfig(max_label=31, node_limit=5000), Status.NODE_LIMIT, 5000),
-            # the whole tree is 87,967 nodes, over every first label
-            (prism, SearchConfig(forced_label_sum=74, node_limit=87968), Status.EXHAUSTED_NONE, 87967),
+            # the whole tree is 99,492 nodes, over every first label
+            (prism, SearchConfig(forced_label_sum=74, node_limit=99493), Status.EXHAUSTED_NONE, 99492),
             # one worker finds the witness at node 4,681
             (lambda: wheel(6), SearchConfig(node_limit=5000), Status.FOUND, 4681),
         ],
@@ -576,6 +576,22 @@ class TestConfigValidation:
         with pytest.raises(ConfigInvalidError, match="workers"):
             search(cycle(3), workers=workers)
 
+    @pytest.mark.parametrize("field, value", [
+        ("max_label", 3.5), ("max_label", True), ("forced_label_sum", 74.5), ("forced_label_sum", True),
+        ("node_limit", 2.5), ("node_limit", True), ("workers", 2.0), ("workers", True),
+        ("time_limit", True), ("time_limit", "1"),
+    ])
+    def test_config_types(self, field, value):
+        # values the CLI's parsers never produce: each would otherwise escape
+        # as a bare TypeError, or run and report a count that is no int
+        cfg, workers = SearchConfig(), 1
+        if field == "workers":
+            workers = value
+        else:
+            cfg = replace(cfg, **{field: value})
+        with pytest.raises(ConfigInvalidError, match=field):
+            search(prism(), cfg, workers=workers)
+
     def test_forced_sum_below_floor(self):
         with pytest.raises(ConfigInvalidError):
             search(cycle(4), SearchConfig(forced_label_sum=9))  # floor is 10
@@ -628,22 +644,29 @@ class TestDerivedBounds:
         assert (found.status, found.nodes_explored) == (Status.FOUND, 174)
         assert sum(found.witnesses[0].labels) == 73
         none = search(prism(), SearchConfig(forced_label_sum=74))
-        assert (none.status, none.nodes_explored) == (Status.EXHAUSTED_NONE, 87967)
+        assert (none.status, none.nodes_explored) == (Status.EXHAUSTED_NONE, 99492)
 
-    @pytest.mark.parametrize("make, cfg", [(lambda: cycle(10), SearchConfig(max_label=15)), (lambda: wheel(6), SearchConfig())],
-                             ids=["C10-15", "W6"])
-    def test_derived_sum_is_left_to_the_weighted_sum(self, make, cfg):
+    @pytest.mark.parametrize("make, cfg, params", [
+        (lambda: cycle(10), SearchConfig(max_label=15), ("wsum", "wmask")),
+        (lambda: wheel(6), SearchConfig(), ("wsum", "wmask")),
+        (lambda: cycle(9), SearchConfig(mode=Mode.ALMOST), ("dups", "wmask")),
+        (lambda: wheel(7), SearchConfig(mode=Mode.ALMOST), ("dups", "wmask")),
+    ], ids=["C10-15", "W6", "C9-almost", "W7-almost"])
+    def test_derived_sum_is_left_to_the_weighted_sum(self, make, cfg, params):
         # every edge on k geodesics: the derived label sum T/k is the weighted
-        # sum T over k, so the steps carry no plain sum of their own
+        # sum T over k, which the verdict holds, so the steps carry no plain
+        # sum of their own; Leech steps carry the weighted sum for its
+        # divisibility test, and almost steps, which derive no sum, neither
         prep = _Prepared(make(), cfg, True, ())
-        assert prep.forced_sum is not None
+        assert (prep.forced_sum is not None) is prep.leech
         state = dict.fromkeys(("wsum", "psum", "dups", "wmask"), 0)
         for d in range(prep.m):
-            assert run_step(prep, d, [1] * prep.m, state, 0)[2] == ("wsum", "wmask"), d
+            assert run_step(prep, d, [1] * prep.m, state, 0)[2] == params, d
 
     def test_explicit_label_sum_keeps_its_plain_window(self):
         # an explicit sum is no weighted sum on the prism's unequal counts,
-        # so its steps bound the plain sum (psum) beside the weighted one
+        # so its steps bound the plain sum (psum) beside the weighted sum's
+        # divisibility test
         prep = _Prepared(prism(), SearchConfig(forced_label_sum=74), True, ())
         state = dict.fromkeys(("wsum", "psum", "dups", "wmask"), 0)
         for d in range(prep.m):
@@ -788,11 +811,13 @@ class TestSymmetry:
             assert (on.status, on.witnesses) == (off.status, off.witnesses), g.edges
 
     def test_root_label_cap_counts_the_labels_it_removes(self):
-        # C10 with labels up to 13: the root's window is 1..13, symmetry takes
-        # 2..13 out of it, and the sum bound cuts the one node left
+        # C10 with labels up to 13: the root's window is 1..13, and symmetry
+        # takes 2..13 out of it, 12 labels beside those it cuts deeper down
         out = search(cycle(10), SearchConfig(max_label=13))
-        assert (out.status, out.nodes_explored) == (Status.EXHAUSTED_NONE, 1)
-        assert out.pruning_stats == {"sum_bound": 1, "symmetry": 12}
+        assert (out.status, out.nodes_explored) == (Status.EXHAUSTED_NONE, 7287)
+        prep = _Prepared(cycle(10), SearchConfig(max_label=13), True, ())
+        assert prep.first_labels == range(1, 2)
+        assert out.pruning_stats["symmetry"] == _search_single(prep, prep.first_labels)[3]["symmetry"] + 12
         # a search cut at the root reaches no window and removes nothing
         assert search(cycle(7)).pruning_stats == {"sum_divisibility": 1}
 
@@ -1031,18 +1056,17 @@ class TestCensusCorpus:
 
 def suffix_bounds(prep, d):
     """The gcd of the geodesic counts k of the edges order[d:], and the least
-    and greatest sum_e k_e*a_e and sum_e a_e those edges can add, from the
-    counts, max_label and mode alone: the i-th largest k meets label i + 1
-    and label max_label - i when labels are distinct (Leech mode; no label
-    is left below 1), and 1 and max_label each in almost mode."""
-    ks = sorted(prep.k_by_depth[d:], reverse=True)
+    and greatest sum_e a_e those edges can add, from their number, max_label
+    and mode alone: labels 1, 2, ... and max_label, max_label - 1, ... when
+    distinct (Leech mode; past label 1 the greatest sum falls, as no Leech
+    labeling is left), and all 1 and all max_label in almost mode."""
+    ks = prep.k_by_depth[d:]
     if prep.leech:
         small = [i + 1 for i in range(len(ks))]
-        large = [max(prep.max_label - i, 0) for i in range(len(ks))]
+        large = [prep.max_label - i for i in range(len(ks))]
     else:
         small, large = [1] * len(ks), [prep.max_label] * len(ks)
-    sums = (sum(k * a for k, a in zip(ks, small)), sum(k * a for k, a in zip(ks, large)), sum(small), sum(large))
-    return math.gcd(*ks), sums
+    return math.gcd(*ks), (sum(small), sum(large))
 
 
 def plain_step(prep, d, labels, state, first_mask):
@@ -1055,14 +1079,13 @@ def plain_step(prep, d, labels, state, first_mask):
         if n:
             counts[key] = counts.get(key, 0) + n
 
-    gcd, (wmin, wmax, pmin, pmax) = suffix_bounds(prep, d)
-    if "sum_divisibility" in rules and (prep.weighted_hi - state["wsum"]) % gcd > prep.weighted_hi - prep.weighted_lo:
+    # a Leech labeling's weights sum to T = t(t+1)/2; an explicit label sum
+    # bounds the plain sum of the labels, within slack in almost mode
+    gcd, (pmin, pmax) = suffix_bounds(prep, d)
+    if prep.leech and "sum_divisibility" in rules and (t * (t + 1) // 2 - state["wsum"]) % gcd:
         return {"sum_divisibility": 1}, []
-    if "sum_bound" in rules:
-        inside = prep.weighted_lo - wmax <= state["wsum"] <= prep.weighted_hi - wmin
-        if prep.plain_lo is not None:
-            inside = inside and prep.plain_lo - pmax <= state["psum"] <= prep.plain_hi - pmin
-        if not inside:
+    if "sum_bound" in rules and prep.plain_lo is not None:
+        if not prep.plain_lo - pmax <= state["psum"] <= prep.plain_hi - pmin:
             return {"sum_bound": 1}, []
     group = prep.completed_at[d]
     bases = [sum(map(labels.__getitem__, others)) for others, _ in group]
@@ -1127,17 +1150,18 @@ def run_step(prep, d, labels, state, first_mask, due=math.inf):
 class TestNodeStep:
     def check_steps(self, prep, rng, trials, top):
         """Every depth's node step against plain_step, with a poll due or not,
-        on random labels 1..top for the edges placed before it, weighted and
-        plain sums near the depth's windows, and random weight sets."""
+        on random labels 1..top for the edges placed before it, weighted sums
+        up to T, plain sums near the depth's window, and random weight sets."""
+        total = prep.t * (prep.t + 1) // 2
         for d in range(prep.m):
-            gcd, (wmin, wmax, pmin, pmax) = suffix_bounds(prep, d)
+            gcd, (pmin, pmax) = suffix_bounds(prep, d)
             for _ in range(trials):
                 labels = [0] * prep.m
                 for e in prep.order[:d]:
                     labels[e] = rng.randint(1, top)
-                wsum = rng.randint(prep.weighted_lo - wmax - 2, prep.weighted_hi - wmin + 2)
+                wsum = rng.randint(0, total)
                 if rng.random() < 0.75:  # mostly past the divisibility test
-                    wsum += (prep.weighted_hi - wsum) % gcd
+                    wsum += (total - wsum) % gcd
                 psum = sum(labels)
                 if prep.plain_lo is not None and rng.random() < 0.75:
                     psum = rng.randint(prep.plain_lo - pmax - 1, prep.plain_hi - pmin + 1)
@@ -1176,6 +1200,16 @@ class TestNodeStep:
         assert prep.forced_sum is not None
         assert any(floor > 1 for group in prep.completed_at for _, floor in group)
         self.check_steps(prep, random.Random(n), 200, prep.max_label)
+
+    @pytest.mark.parametrize("make, cfg", [
+        (prism, SearchConfig(forced_label_sum=74)),
+        (lambda: cycle(8), SearchConfig(mode=Mode.ALMOST, forced_label_sum=30)),
+        (lambda: complete(4), SearchConfig(mode=Mode.ALMOST, forced_label_sum=13)),
+    ], ids=["prism-74", "C8-almost-30", "K4-almost-13"])
+    def test_matches_plain_step_with_an_explicit_label_sum(self, make, cfg):
+        prep = _Prepared(make(), cfg, True, ())
+        assert prep.plain_lo is not None
+        self.check_steps(prep, random.Random(5), 100, prep.max_label)
 
     def test_matches_plain_step_with_rules_off(self):
         # each rule off changes the generated step: its test, count or argument goes
@@ -1238,7 +1272,7 @@ class TestStepMemo:
         search(cycle(10), SearchConfig(max_label=15))
         misses = _step_code.cache_info().misses
         out = search(cycle(10), SearchConfig(max_label=15))
-        assert out.nodes_explored == 73087
+        assert out.nodes_explored == 73130
         assert _step_code.cache_info().misses == misses
 
     def test_limits_compile_nothing(self):
@@ -1260,7 +1294,7 @@ class TestStepMemo:
         prep = _Prepared(cycle(10), SearchConfig(max_label=15), True, ())
         found = Value("i", prep.max_label + 1)
         nodes = sum(_search_single(prep, (v,), found)[2] for v in range(1, 16))
-        assert nodes == 217928
+        assert nodes == 217982
         assert len(built) == 101  # 15 jobs, each building the depths it reaches
         assert _step_code.cache_info().misses == 6
 

@@ -120,11 +120,12 @@ def test_unlimited_searches_match_golden():
         }
         assert json.dumps(got) == json.dumps({key: line[key] for key in got}), (name, line["mode"], disabled)
         checked += 1
-    # 166 of the 180 searches end before the limit: prism Leech without
-    # weight_duplicate (at node 288) and W5 Leech without weight_bound (at
-    # 14,844) find their witnesses inside it, since distinct_label reads the
-    # weight set and a label that equals a longer geodesic's weight is no node
-    assert checked == 166
+    # 165 of the 180 searches end before the limit: prism Leech without
+    # weight_duplicate finds its witness at node 288, since distinct_label
+    # reads the weight set and a label that equals a longer geodesic's weight
+    # is no node; W5 Leech without weight_bound, with no weighted sum window
+    # left either, needs 88,090 nodes and stops at the limit
+    assert checked == 165
 
 
 if __name__ == "__main__":

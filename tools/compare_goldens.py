@@ -15,8 +15,11 @@ line, that
   - a line with a witness only gains nodes, at most m * max_label: one
     whole window per depth of its search.
 
-Prints a summary per file and every line that fails a check, and exits 1 if
-any does. Only costs may change: a re-pin that moves an outcome is a bug.
+Prints a summary per file, with how many lines changed their outcome and
+how many changed only their cost, and every line that fails a check, and
+exits 1 if any does. Only costs may change: a re-pin that moves an outcome
+is a bug, unless a node limit now cuts a search that found its witness
+inside it (which --unlimited tells apart).
 
 --unlimited checks a change that counts the same trees in a new unit, which
 the checks above cannot tell from a change of tree. Every search of
@@ -34,7 +37,9 @@ The searches of cli_golden.jsonl already run unlimited, so its lines at the
 two revisions are compared as they stand: every field but the costs must
 match, and so must the sums where a line reports its pruning (census rows
 report only nodes). A search that runs out of its TIME_LIMIT seconds at
-either revision is listed and not compared.
+either revision is listed and not compared. The summary per file counts
+outcome changes and cost-only changes here too, so a change that moves
+trees on purpose shows 0 outcome changes.
 """
 
 import argparse
@@ -86,13 +91,16 @@ def compare(name: str, rev: str) -> list[str]:
         bounds = list(_search_golden_bounds())
     else:  # search lines give max_label, census rows t_gp, the largest label there
         bounds = [None] * len(new_lines)
-    errors, tally, gains = [], {}, []
+    errors, tally, gains, outcome_changes, cost_changes = [], {}, [], 0, 0
     for i, (a, b, bound) in enumerate(zip(old_lines, new_lines, bounds), 1):
         was, now = json.loads(a), json.loads(b)
         kind = _kind(was)
         tally[kind] = tally.get(kind, 0) + 1
         where = f"{name}:{i}"
-        if any(was.get(key) != now.get(key) for key in OUTCOMES):
+        outcome = any(was.get(key) != now.get(key) for key in OUTCOMES)
+        outcome_changes += outcome
+        cost_changes += not outcome and a != b
+        if outcome:
             errors.append(f"{where}: outcome changed")
         elif kind in ("exhausted", "other"):
             if a != b:
@@ -110,6 +118,7 @@ def compare(name: str, rev: str) -> list[str]:
             gains.append(gain)
     kinds = ", ".join(f"{n} {kind}" for kind, n in sorted(tally.items()))
     print(f"{name}: {len(new_lines)} lines ({kinds}); {len(errors)} failing; "
+          f"{outcome_changes} outcome changes, {cost_changes} cost-only changes; "
           f"{sum(g > 0 for g in gains)} of {len(gains)} found lines gain nodes, "
           f"{sum(gains):+,} in all, {max(gains, default=0):+,} at most; "
           f"node total {sum(json.loads(x).get('nodes', 0) for x in old_lines):,} -> "
@@ -150,7 +159,7 @@ def _tree_counts(line: dict) -> tuple:
 def compare_unlimited(name: str, old_lines: list[str], new_lines: list[str]) -> list[str]:
     if len(old_lines) != len(new_lines):
         return [f"{name}: {len(new_lines)} lines, the old revision has {len(old_lines)}"]
-    errors, timed_out, trees, totals = [], [], 0, [0, 0]
+    errors, timed_out, trees, totals, outcome_changes, cost_changes = [], [], 0, [0, 0], 0, 0
     for i, (a, b) in enumerate(zip(old_lines, new_lines), 1):
         was, now = json.loads(a), json.loads(b)
         where = f"{name}:{i}"
@@ -160,13 +169,17 @@ def compare_unlimited(name: str, old_lines: list[str], new_lines: list[str]) -> 
         totals[0] += was.get("nodes", 0)
         totals[1] += now.get("nodes", 0)
         costs = ("nodes", "pruning")
-        if {k: v for k, v in was.items() if k not in costs} != {k: v for k, v in now.items() if k not in costs}:
+        outcome = {k: v for k, v in was.items() if k not in costs} != {k: v for k, v in now.items() if k not in costs}
+        outcome_changes += outcome
+        cost_changes += not outcome and was != now
+        if outcome:
             errors.append(f"{where}: outcome changed")
         elif "pruning" in was and "pruning" in now:
             if _tree_counts(was) != _tree_counts(now):
                 errors.append(f"{where}: tree changed, {_tree_counts(was)} -> {_tree_counts(now)}")
             trees += 1
-    print(f"{name}: {len(new_lines)} lines; {len(errors)} failing; {trees} trees compared, "
+    print(f"{name}: {len(new_lines)} lines; {len(errors)} failing; {outcome_changes} outcome changes, "
+          f"{cost_changes} cost-only changes; {trees} trees compared, "
           f"{len(timed_out)} timed out; node total of the rest {totals[0]:,} -> {totals[1]:,}")
     for line in timed_out:
         print(line)
