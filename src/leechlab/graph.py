@@ -154,23 +154,15 @@ def distances(g: Graph, source: int) -> list:
     """Unweighted shortest-path distances from source; INFINITY if unreachable."""
     g._check_vertex(source)
     dist = [INFINITY] * g.vertex_count
-    _bfs(g._adj, source, dist)
-    return dist
-
-
-def _bfs(adj, source: int, dist: list) -> list[int]:
-    """Write the distances from source into dist, which must hold INFINITY at
-    every vertex it reaches, and return those vertices in the order BFS
-    reached them, which is by distance."""
     dist[source] = 0
-    order = [source]
-    for x in order:  # the list grows as it is read: it is the BFS queue
+    queue = [source]
+    for x in queue:  # the list grows as it is read
         dw = dist[x] + 1
-        for w, _ in adj[x]:
+        for w, _ in g._adj[x]:
             if dist[w] == INFINITY:
                 dist[w] = dw
-                order.append(w)
-    return order
+                queue.append(w)
+    return dist
 
 
 @functools.lru_cache(maxsize=1)  # census, classify and search share one graph's walk

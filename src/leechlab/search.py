@@ -46,13 +46,13 @@ A node is one candidate label for the edge at some depth: a value inside the
 window left after the weight_bound, complement_window and symmetry floors
 (and, at the root, the symmetry cap) that distinct_label does not reject. It
 counts whether or not the weights of its longer geodesics then collide
-(weight_duplicate). node_limit stops the search at its N-th node in counting
-order (below), so such a search runs at one worker. Otherwise each first
-label left is one job at workers > 1, handed in ascending order to whichever
-worker is idle; the jobs share one deadline, and unless find_all is set, a
-job stops once a smaller first label has found a witness, so the witness is
-the one a single worker finds first. A search left with one first label runs
-in this process, with no pool.
+(weight_duplicate). The root step runs once, in this process. At workers >
+1, with no node limit (which stops at the N-th node in counting order,
+below) and more than one first label, each root survivor is one pool job,
+the subtree under it from depth 1, handed out in ascending order. The jobs
+share one deadline; unless find_all is set, a job stops once a smaller first
+label has a witness, and results are read in label order up to the first
+witness, so the outcome, counts included, is one worker's.
 
 The kernel keeps the used weights (bits 1..t), every label among them, as an
 int bitset and passes a new one down to each child, so nothing is undone on
@@ -146,14 +146,12 @@ class SearchOutcome:
     nodes_explored counts candidate labels inside each depth's window (after
     the weight_bound, complement_window and symmetry floors, and the root's
     symmetry cap) that distinct_label lets through, whether or not their
-    longer geodesics' weights then collide; at workers > 1 it sums over the
-    first-label jobs. Each window is counted whole before the search descends
-    into it. A node_limit search stops at its N-th node in that order and runs
-    at one worker, so its outcome, elapsed aside, is the same at every worker
-    count. Unlimited searches return the same status and witnesses at every
-    worker count, and exhausted ones the same nodes_explored and pruning_stats
-    (the rules that cut anything, in ALL_RULES order). max_label is the bound
-    used, at most t_gp; forced_label_sum the label sum, explicit or derived
+    longer geodesics' weights then collide. Each window is counted whole
+    before the search descends into it, and a node_limit search stops at its
+    N-th node in that order. The outcome, elapsed aside, is the same at every
+    worker count unless a time limit cuts the search. pruning_stats holds the
+    rules that cut anything, in ALL_RULES order. max_label is the bound used,
+    at most t_gp; forced_label_sum the label sum, explicit or derived
     (held by the verdict's weighted sum).
     """
 
@@ -212,6 +210,7 @@ class _Prepared:
     )
 
     def __init__(self, g: Graph, cfg: SearchConfig, derive_bounds: bool, disabled):
+        self.deadline = None if cfg.time_limit is None else time.monotonic() + cfg.time_limit  # set-up counts too
         self.mode = cfg.mode
         self.leech = cfg.mode is Mode.LEECH
         self.find_all = cfg.find_all
@@ -305,7 +304,6 @@ class _Prepared:
             # which is 1 in a Leech labeling and at most 2 in an almost one
             if all(self.order[0] in f for f in self.symmetry[1:]):
                 self.first_labels = range(1, min(1 if self.leech else 2, self.max_label) + 1)
-        self.deadline = None if cfg.time_limit is None else time.monotonic() + cfg.time_limit
 
 
 def _leaf_matches(prep: _Prepared, labels: list[int]) -> bool:
@@ -344,7 +342,7 @@ def _step_code(shape):
     process. The source names every value of its search and depth (edge ids,
     bounds, floors, k, masks, the next depth) as a free variable, so the code
     serves every depth, search and job of its shape; _node_step binds them."""
-    params, root, distinct, budget, wbound, gcd, lines, bases, floors, n_sym = shape
+    params, distinct, budget, wbound, gcd, lines, bases, floors, n_sym = shape
     name = {-1: "0", **{i: f"b{i}" for i in range(len(lines))}}  # base -1 is the edge's own
     free = "free" if distinct else "window"
     body = []
@@ -366,8 +364,6 @@ def _step_code(shape):
     for j in range(n_sym):
         body += [f"s = labels[S{j}]", "if s > lo:", "    symmetry += s - lo", "    lo = s"]
     body += ["if lo > hi:", "    return", "window = (2 << hi) - (1 << lo)"]
-    if root:
-        body.append("window &= FIRST")
     if distinct:
         body += ["taken = window & wmask", "free = window ^ taken", "distinct_label += taken.bit_count()"]
     survivors = free
@@ -399,7 +395,7 @@ def _step_code(shape):
     body += [f"nodes += {free}.bit_count()", "if nodes >= due:", f"    poll({free}, {0 if budget is None else 'bad'})",
              f"survivors = {survivors}", "while survivors:", "    low = survivors & -survivors", "    survivors ^= low",
              f"    {descend}"]
-    names = [*_COUNTS, "labels", "due", "poll", "nxt", "FIRST", "EID", "K", "G", "T", "PLO", "PHI", "VMAX", "T1",
+    names = [*_COUNTS, "labels", "due", "poll", "nxt", "EID", "K", "G", "T", "PLO", "PHI", "VMAX", "T1",
              "TMASK", *(f"E{i}" for i in range(len(lines))),
              *(f"F{j}" for j in range(len(floors))), *(f"S{j}" for j in range(n_sym))]
     source = "\n".join([
@@ -413,9 +409,10 @@ def _step_code(shape):
 
 def _node_step(prep: _Prepared, d: int, shared: dict):
     """Depth d's node step, step(*params) with params a subsequence of
-    _CHILD's keys, whose counts, labels, first-label mask (FIRST), next depth
-    (nxt), due and poll are the cells in shared. It counts its whole window,
-    calls poll(free, bad) once the node count reaches due, then descends."""
+    _CHILD's keys, whose counts, labels, next depth (nxt), due and poll are
+    the cells in shared; the root's labels stop at the symmetry cap. It
+    counts its whole window, calls poll(free, bad) once the node count
+    reaches due, then descends."""
     rules, t = prep.rules, prep.t
     wdup = "weight_duplicate" in rules
     distinct = prep.leech and "distinct_label" in rules
@@ -440,7 +437,8 @@ def _node_step(prep: _Prepared, d: int, shared: dict):
             raised.append(floor)
     values = {
         "EID": prep.order[d], "K": prep.k_by_depth[d], "G": gcd, "T": _weight_total(t),
-        "VMAX": prep.max_label, "T1": t + 1, "TMASK": (2 << t) - 1,  # bit w for every weight 0..t
+        "VMAX": prep.max_label if d else len(prep.first_labels),
+        "T1": t + 1, "TMASK": (2 << t) - 1,  # bit w for every weight 0..t
         **{f"E{i}": e for i, e in enumerate(cuts)}, **{f"F{j}": f for j, f in enumerate(raised)},
         **{f"S{j}": e for j, e in enumerate(prep.symmetry[d])},
     }
@@ -451,26 +449,27 @@ def _node_step(prep: _Prepared, d: int, shared: dict):
         least, most = (r * (r + 1) // 2, r * top - r * (r - 1) // 2) if prep.leech else (r, r * top)
         values.update(PLO=prep.plain_lo - most, PHI=prep.plain_hi - least)
     code = _step_code((
-        params, d == 0, distinct, (0 if prep.leech else 1) if wdup else None, "weight_bound" in rules,
+        params, distinct, (0 if prep.leech else 1) if wdup else None, "weight_bound" in rules,
         divisible and gcd > 1, tuple(lines), tuple(bases), tuple(floors), len(prep.symmetry[d]),
     ))
     closure = tuple(shared[n] if n in shared else types.CellType(values[n]) for n in code.co_freevars)
     return types.FunctionType(code, globals(), f"depth_{d}", None, closure)
 
 
-def _search_single(prep: _Prepared, first_values, found=None):
-    """Depth-first search with the first edge's labels among first_values;
-    returns (status, witnesses, nodes, stats). A job of a parallel search
-    passes one first label and found, the shared least first label with a
-    witness, and its status is None if a smaller label's witness stopped it."""
+def _search_single(prep: _Prepared, job=None, found=None, collect=None):
+    """Depth-first search; returns (status, witnesses, nodes, stats). With no
+    job it runs from the root, which descends into each survivor or, given a
+    list collect, appends each survivor's job (label, depth 1's arguments)
+    to it. A job of a parallel search runs the subtree under its first label
+    from depth 1, with found, the shared least first label with a witness;
+    its status is None if a smaller label's witness stopped it."""
     m = prep.m
     labels = [0] * m
     witnesses: list[Labeling] = []
     nodes = distinct_label = sum_bound = sum_divisibility = weight_bound = weight_duplicate = 0
     complement_window = symmetry = 0
     deadline, node_limit = prep.deadline, prep.node_limit or math.inf
-    first = first_values[0] if found is not None else None
-    due = 0  # the root step polls, so a job that starts after a stop ends at once
+    due = 0  # the first step polls, so a job that starts after a stop ends at once
 
     def poll(free: int, bad: int) -> None:
         """Stop at the node limit, taking back the candidates of free (the
@@ -505,7 +504,7 @@ def _search_single(prep: _Prepared, first_values, found=None):
     # count lands in the variables above; links[d] holds what depth d calls:
     # the leaf, or depth d + 1, which is built the first time it is reached
     shared = {n: c for f in (poll, leaf, stats) for n, c in zip(f.__code__.co_freevars, f.__closure__)}
-    shared.update(poll=types.CellType(poll), FIRST=types.CellType(sum(1 << v for v in set(first_values))))
+    shared["poll"] = types.CellType(poll)
     links = [types.CellType(leaf) for _ in range(m)]
 
     def reach(d: int):
@@ -517,10 +516,18 @@ def _search_single(prep: _Prepared, first_values, found=None):
     for d in range(1, m):
         links[d - 1].cell_contents = reach(d)
 
+    if job is None:
+        nxt = links[0] if collect is None else types.CellType(
+            lambda *args: collect.append((labels[prep.order[0]], args)))
+        step = _node_step(prep, 0, {**shared, "nxt": nxt})
+        first, args = None, [0] * step.__code__.co_argcount
+    else:
+        first, args = job
+        labels[prep.order[0]] = first
+        step = links[0].cell_contents  # depth 1, built on first reach
     status = Status.EXHAUSTED_NONE
     try:
-        root = _node_step(prep, 0, {**shared, "nxt": links[0]})
-        root(*[0] * root.__code__.co_argcount)
+        step(*args)
         if witnesses:
             status = Status.FOUND
     except _Stop as stop:
@@ -550,10 +557,10 @@ def _start_worker(prep: _Prepared, found) -> None:
     _job = prep, found
 
 
-def _search_first(v: int):
-    """One job of a parallel search: the subtree under first label v."""
+def _search_first(job):
+    """One job (label, args) of a parallel search: the subtree under a first label."""
     prep, found = _job
-    return _search_single(prep, (v,), found)
+    return _search_single(prep, job, found)
 
 
 def search(
@@ -566,56 +573,49 @@ def search(
 ) -> SearchOutcome:
     """Run the labeling search and return its outcome.
 
-    workers > 1 runs one job per first label, in ascending order, in a pool
-    of processes that share one deadline; node counts sum over the jobs. A
-    search left with one first label runs in this process.
-    Without limits the status and witnesses are those of a single-worker
-    run. A node_limit runs the search at one worker whatever workers says,
-    so it stops at the same node. workers < 1 raises ConfigInvalidError.
-    find_all returns the witnesses sorted by labels, and FOUND only if no
-    limit cut the list short. derive_bounds=False skips deriving max_label
-    and forced_label_sum from the counting arguments (both stay available as
-    explicit config fields). disabled_rules names pruning rules to switch
-    off, which affects cost only.
+    The root step runs in this process. At workers > 1 each of its survivors
+    is one job, the subtree under that first label, run in ascending order in
+    a pool of processes that share one deadline, and the results are read in
+    label order up to the first witness: the outcome, counts included, is
+    that of a single-worker run unless a time limit cuts the search. A
+    node_limit or a single first label keeps the whole search in this
+    process. workers < 1 raises ConfigInvalidError. find_all returns the
+    witnesses sorted by labels, and FOUND only if no limit cut the list
+    short. derive_bounds=False skips deriving max_label and forced_label_sum
+    from the counting arguments (both stay available as explicit config
+    fields). disabled_rules names pruning rules to switch off, which affects
+    cost only.
     """
     cfg = cfg or SearchConfig()
     _validate(g, cfg, workers)
     start = time.monotonic()
     prep = _Prepared(g, cfg, derive_bounds, disabled_rules)
-    # one worker takes every first label, in this process; more take one job
-    # per label as each goes idle, unless the root's sum bounds, the same for
-    # every label, cut it: a search with no first label tests them once. A
-    # node limit counts nodes in single-worker counting order, so it gets one
-    values = prep.first_labels
-    workers = 1 if cfg.node_limit is not None else min(workers, len(values))
-    results = [_search_single(prep, values if workers == 1 else ())]
-    if workers > 1 and not results[0][3]["sum_bound"] + results[0][3]["sum_divisibility"]:
+    # a node limit counts nodes in single-worker counting order, so it keeps
+    # the search here; a root cut leaves no jobs and so starts no pool
+    jobs = [] if workers > 1 and cfg.node_limit is None and len(prep.first_labels) > 1 else None
+    results = [_search_single(prep, collect=jobs)]
+    if jobs:
         from multiprocessing import Value
 
         found = Value("i", prep.max_label + 1)
-        results = list(_pool_map(_search_first, values, workers, _start_worker, (prep, found)))
+        # a job past the first witness counts what one worker never reaches
+        for result in _pool_map(_search_first, jobs, workers, _start_worker, (prep, found)):
+            results.append(result)
+            if result[1] and not cfg.find_all:
+                break
+    witnesses = [w for _, ws, _, _ in results for w in ws]
     if cfg.find_all:
-        witnesses = sorted({w for _, ws, _, _ in results for w in ws}, key=lambda w: w.labels)
-    else:
-        # the least first label's witness, the one a single worker finds
-        witnesses = next((ws for _, ws, _, _ in results if ws), [])
+        witnesses.sort(key=lambda w: w.labels)
     nodes = sum(n for _, _, n, _ in results)
     stats = {rule: sum(r[3][rule] for r in results) for rule in ALL_RULES}
     if nodes:
-        # the root's window, labels 1..max_label, was reached: symmetry took
-        # the labels above first_labels out of it
-        stats["symmetry"] += prep.max_label - len(values)
+        # the root's window was reached: the symmetry cap took the labels
+        # above first_labels out of it
+        stats["symmetry"] += prep.max_label - len(prep.first_labels)
+    # a limit outranks the witnesses of find_all, whose list it cut short
     statuses = {r[0] for r in results}
-    # a limit outranks the witnesses of find_all, whose list it cut short; a
-    # job stopped by a smaller label's witness (None) lands in the first case
-    if witnesses and not cfg.find_all:
-        status = Status.FOUND
-    elif Status.TIMED_OUT in statuses:
-        status = Status.TIMED_OUT
-    elif Status.NODE_LIMIT in statuses:
-        status = Status.NODE_LIMIT
-    else:
-        status = Status.FOUND if witnesses else Status.EXHAUSTED_NONE
+    ranked = [Status.TIMED_OUT, Status.NODE_LIMIT, Status.FOUND, Status.EXHAUSTED_NONE]
+    status = next(s for s in ([] if cfg.find_all else [Status.FOUND]) + ranked if s in statuses)
     _verify_witnesses(g, cfg.mode, witnesses)
     return SearchOutcome(
         status=status,

@@ -248,9 +248,9 @@ class TestSearch:
     def test_pruning_key_order_is_the_same_at_two_workers(self):
         # the merged stats must not take their order from the string hash
         # seed of the process: at two workers the key lists under two seeds
-        # agree, and each is in ALL_RULES order. The search is an exhausted
-        # one (the prism has no witness of label sum 74), whose counts, unlike
-        # those of a search that finds a witness, are the same in every run
+        # agree, and each is in ALL_RULES order. W5 finds a witness, and its
+        # counts, like those of every unlimited search, are the same in
+        # every run
         import os
         import subprocess
         import sys
@@ -265,12 +265,12 @@ class TestSearch:
                 "PYTHONHASHSEED": str(seed),
                 "PYTHONPATH": str(Path(leechlab.__file__).parents[1]),
             }
-            argv = ["search", "--family", "prism", "--sum", "74", "--workers", "2", "--json"]
+            argv = ["search", "--family", "wheel:5", "--workers", "2", "--json"]
             proc = subprocess.run(
                 [sys.executable, "-m", "leechlab.cli", *argv],
                 env=env, capture_output=True, text=True, check=False,
             )
-            assert proc.returncode == EXIT_EXHAUSTED, proc.stderr
+            assert proc.returncode == EXIT_LEECH, proc.stderr
             return list(json.loads(proc.stdout)["pruning"])
 
         keys = pruning_keys(1)

@@ -329,12 +329,33 @@ class TestDeterminism:
         ],
     )
     def test_workers_return_the_single_worker_witness(self, name, make, mode, workers):
-        # jobs with larger first labels stop once a smaller one has a witness,
-        # so the witness is the first one in single-worker search order
+        # the results are read in label order up to the first witness, so
+        # the witness is the first one in single-worker search order, and
+        # the counts are those of one worker
         one = search(make(), SearchConfig(mode=mode))
         many = search(make(), SearchConfig(mode=mode), workers=workers)
         assert one.status is Status.FOUND
-        assert (many.status, many.witnesses) == (one.status, one.witnesses)
+        assert replace(many, elapsed=0) == replace(one, elapsed=0)
+
+    @pytest.mark.parametrize(
+        "make,cfg",
+        [(lambda: cycle(3), SearchConfig()), (lambda: cycle(4), SearchConfig()), (lambda: complete(4), SearchConfig()),
+         (prism, SearchConfig())]
+        + [(lambda n=n: wheel(n), SearchConfig()) for n in range(5, 9)]
+        + [(lambda n=n: wheel(n), SearchConfig(mode=Mode.ALMOST)) for n in (6, 7)]
+        + [(lambda: path(4), SearchConfig(mode=Mode.ALMOST)),
+           (lambda: cycle(4), SearchConfig(find_all=True)),
+           (lambda: path(4), SearchConfig(mode=Mode.ALMOST, find_all=True))]
+        + [(lambda s=s: graph6_decode(s), SearchConfig(mode=Mode.ALMOST))
+           for s in ("E~^G", "E~nW", "EznW", "Ez~w", "E~~G")],
+        ids=["C3", "C4", "K4", "prism", "W5", "W6", "W7", "W8", "W6-almost", "W7-almost", "P4-almost",
+             "C4-all", "P4-almost-all", "E~^G", "E~nW", "EznW", "Ez~w", "E~~G"],
+    )
+    def test_outcome_is_the_same_at_every_worker_count(self, make, cfg):
+        # the root runs in this process and every job's subtree is counted
+        # whole or up to its witness, so counts agree as well as witnesses
+        one, *many = (replace(search(make(), cfg, workers=w), elapsed=0) for w in (1, 2, 3))
+        assert many == [one, one]
 
     @pytest.mark.parametrize(
         "make,cfg",
@@ -368,41 +389,32 @@ class TestDeterminism:
         out = search(prism(), SearchConfig(forced_label_sum=74, node_limit=1000), workers=2)
         assert (out.status, out.nodes_explored) == (Status.NODE_LIMIT, 1000)
 
-    def test_prism_stops_early_at_two_workers(self, monkeypatch):
-        # one worker finds the prism's witness at node 174; in a pool, a
-        # job running beside it sees the witness at its next poll, about
-        # every 4,096 nodes, so its count depends on how the workers start
+    def test_prism_stops_early_at_two_workers(self):
+        # one worker finds the prism's witness at node 174, under first label
+        # 1. In a pool, the root's 21 nodes are counted here, label 1's job
+        # finds the witness at its node 153, and the later jobs, which stop
+        # at their next poll, are never read: without that, label 2's job
+        # alone runs on for 10,409 nodes
         one = search(prism())
         pooled = search(prism(), workers=2)
-        assert (pooled.status, pooled.witnesses) == (Status.FOUND, one.witnesses)
-
-        def in_order(fn, jobs, workers, initializer=None, initargs=()):
-            initializer(*initargs)
-            return map(fn, jobs)
-
-        # run the jobs one after another in this process: label 1's job finds
-        # its witness at node 154, and each later job counts its one root
-        # label and stops at the root's poll, so the 21 jobs count the 174
-        # nodes of one worker, whose root counts all 21 labels at once.
-        # Without the early stop label 2's job runs on for 10,401 nodes
-        module = importlib.import_module("leechlab.search")
-        monkeypatch.setattr(module, "_job", None)
-        monkeypatch.setattr(module, "_pool_map", in_order)
-        out = search(prism(), workers=2)
-        assert (out.status, out.nodes_explored, out.witnesses) == (Status.FOUND, 174, one.witnesses)
+        assert (one.status, one.nodes_explored) == (Status.FOUND, 174)
+        assert replace(pooled, elapsed=0) == replace(one, elapsed=0)
 
     def test_job_stops_at_its_first_check_after_a_smaller_label_finds(self):
         from multiprocessing import Value
 
         prep = _Prepared(prism(), SearchConfig(), True, ())
         found = Value("i", prep.max_label + 1)
+        jobs = []
+        _search_single(prep, collect=jobs)
+        assert [label for label, _ in jobs] == list(prep.first_labels)
         # first label 2 alone finds a witness after more than 4,096 nodes
-        status, witnesses, nodes, _ = _search_single(prep, (2,), found)
+        status, witnesses, nodes, _ = _search_single(prep, jobs[1], found)
         assert status is Status.FOUND and nodes > 4096
         assert found.value == 2
-        # a job that starts after a smaller label found one stops at the
-        # root's poll, once the root has counted its window: label 3 alone
-        assert _search_single(prep, (3,), found)[0::2] == (None, 1)
+        # a job that starts after a smaller label found one stops at depth
+        # 1's poll, once that step has counted its window: label 3's
+        assert _search_single(prep, jobs[2], found)[0::2] == (None, 18)
 
         class FoundAfterStart:
             # the record as a job reads it: empty at its start, then label 1
@@ -413,14 +425,14 @@ class TestDeterminism:
                 self.reads += 1
                 return prep.max_label + 1 if self.reads == 1 else 1
 
-        # the root step polls once it has counted its window, and the next
-        # poll falls due at 4,096 more counted nodes, in the step whose window
-        # reaches them; nothing is taken back, so the job counts what the
-        # same job stopped by a node limit at its node counts
-        status, witnesses, nodes, stats = _search_single(prep, (2,), FoundAfterStart())
-        assert (status, witnesses, nodes) == (None, [], 4101)
+        # depth 1's step polls once it has counted its window (18 nodes), and
+        # the next poll falls due at 4,096 more counted nodes, in the step
+        # whose window reaches them; nothing is taken back, so the job counts
+        # what the same job stopped by a node limit at its node counts
+        status, witnesses, nodes, stats = _search_single(prep, jobs[1], FoundAfterStart())
+        assert (status, witnesses, nodes) == (None, [], 4119)
         limited = _Prepared(prism(), SearchConfig(node_limit=nodes), True, ())
-        assert _search_single(limited, (2,)) == (Status.NODE_LIMIT, [], nodes, stats)
+        assert _search_single(limited, jobs[1]) == (Status.NODE_LIMIT, [], nodes, stats)
 
     def test_one_worker_starts_no_pool(self):
         import subprocess
@@ -479,6 +491,20 @@ class TestLimits:
         for workers in (2, 3, 4):
             many = search(make(), cfg, workers=workers)
             assert replace(many, elapsed=one.elapsed) == one
+
+    def test_time_limit_counts_set_up(self, monkeypatch):
+        # with the automorphisms slowed past the limit, the search stops at
+        # its first poll: the prism finds its witness well inside 0.2 s else
+        module = importlib.import_module("leechlab.search")
+        real = module.stabilizer_orbits
+
+        def slow(*args):
+            time.sleep(0.3)
+            return real(*args)
+
+        monkeypatch.setattr(module, "stabilizer_orbits", slow)
+        out = search(prism(), SearchConfig(time_limit=0.2))
+        assert (out.status, out.witnesses) == (Status.TIMED_OUT, ())
 
     def test_time_limit_is_one_deadline_per_search(self):
         # 31 first-label jobs; a deadline per job would run past the limit
@@ -802,7 +828,7 @@ class TestSymmetry:
             on = search(g, SearchConfig(mode=mode))
             # the same floors with every first label: the search without the cap
             prep.first_labels = range(1, prep.max_label + 1)
-            assert _search_single(prep, prep.first_labels)[:2] == (on.status, list(on.witnesses)), g.edges
+            assert _search_single(prep)[:2] == (on.status, list(on.witnesses)), g.edges
             # K2,5, the one graph on 7 vertices and 10 edges here, exhausts
             # in Leech mode after 130,577,763 nodes with symmetry off (23 s)
             if mode is Mode.LEECH and (g.vertex_count, g.edge_count) == (7, 10):
@@ -817,7 +843,7 @@ class TestSymmetry:
         assert (out.status, out.nodes_explored) == (Status.EXHAUSTED_NONE, 7287)
         prep = _Prepared(cycle(10), SearchConfig(max_label=13), True, ())
         assert prep.first_labels == range(1, 2)
-        assert out.pruning_stats["symmetry"] == _search_single(prep, prep.first_labels)[3]["symmetry"] + 12
+        assert out.pruning_stats["symmetry"] == _search_single(prep)[3]["symmetry"] + 12
         # a search cut at the root reaches no window and removes nothing
         assert search(cycle(7)).pruning_stats == {"sum_divisibility": 1}
 
@@ -1069,7 +1095,7 @@ def suffix_bounds(prep, d):
     return math.gcd(*ks), (sum(small), sum(large))
 
 
-def plain_step(prep, d, labels, state, first_mask):
+def plain_step(prep, d, labels, state):
     """What depth d's node step does, one rule and one candidate label at a
     time: the counts it adds, keyed as pruning_stats plus "nodes", and the
     label and state (wsum, psum, dups, wmask) it hands each child."""
@@ -1089,7 +1115,7 @@ def plain_step(prep, d, labels, state, first_mask):
             return {"sum_bound": 1}, []
     group = prep.completed_at[d]
     bases = [sum(map(labels.__getitem__, others)) for others, _ in group]
-    hi = prep.max_label
+    hi = prep.max_label if d else len(prep.first_labels)  # the root's symmetry cap
     if "weight_bound" in rules and t - max(bases) < hi:
         add("weight_bound", hi - (t - max(bases)))
         hi = t - max(bases)
@@ -1101,8 +1127,6 @@ def plain_step(prep, d, labels, state, first_mask):
             lo = labels[e]
     children = []
     for v in range(lo, hi + 1):
-        if d == 0 and not first_mask >> v & 1:
-            continue
         # a label is the weight of its edge, a one-edge geodesic
         if prep.leech and "distinct_label" in rules and state["wmask"] >> v & 1:
             add("distinct_label")
@@ -1123,7 +1147,7 @@ def plain_step(prep, d, labels, state, first_mask):
     return counts, children
 
 
-def run_step(prep, d, labels, state, first_mask, due=math.inf):
+def run_step(prep, d, labels, state, due=math.inf):
     """Depth d's generated node step on fresh cells, with a recording stub as
     the next depth and a poll, due at node due, that stops the search: the
     counts it adds and the label and state of each child."""
@@ -1136,7 +1160,7 @@ def run_step(prep, d, labels, state, first_mask, due=math.inf):
 
     step = _node_step(prep, d, {
         **cells, "labels": types.CellType(labels), "due": types.CellType(due), "poll": types.CellType(poll),
-        "FIRST": types.CellType(first_mask), "nxt": stub,
+        "nxt": stub,
     })
     params = step.__code__.co_varnames[:step.__code__.co_argcount]
     try:
@@ -1169,14 +1193,13 @@ class TestNodeStep:
                     "wsum": wsum, "psum": psum, "dups": 0 if prep.leech else rng.randint(0, 1),
                     "wmask": rng.getrandbits(prep.t + 1),
                 }
-                first_mask = rng.getrandbits(prep.max_label + 1)
-                counts, children = plain_step(prep, d, labels, state, first_mask)
-                got, calls, params = run_step(prep, d, list(labels), state, first_mask)
+                counts, children = plain_step(prep, d, labels, state)
+                got, calls, params = run_step(prep, d, list(labels), state)
                 want = [(v, {p: child[p] for p in params}) for v, child in children]
                 assert (got, calls) == (counts, want), (prep.order, d, labels, state)
                 # a poll that falls due stops the step after it counts its
                 # window and before any child
-                got, calls, _ = run_step(prep, d, list(labels), state, first_mask, due=0)
+                got, calls, _ = run_step(prep, d, list(labels), state, due=0)
                 assert (got, calls) == (counts, []), (prep.order, d, labels, state)
 
     def test_matches_plain_step_on_the_atlas(self):
@@ -1233,7 +1256,7 @@ class TestNodeStep:
         state = dict.fromkeys(("wsum", "psum", "dups", "wmask"), 0)
         for d, group in enumerate(prep.completed_at):
             CountingLabels.reads = 0
-            run_step(prep, d, CountingLabels([1] * prep.m), state, 1 << 1)
+            run_step(prep, d, CountingLabels([1] * prep.m), state)
             assert CountingLabels.reads == len([o for o, _ in group if o])
 
     def test_root_probe_compiles_nothing_past_the_root(self, monkeypatch):
@@ -1241,13 +1264,16 @@ class TestNodeStep:
         built = []
         real = module._node_step
         monkeypatch.setattr(module, "_node_step", lambda prep, d, *rest: built.append(d) or real(prep, d, *rest))
-        prep = _Prepared(cycle(10), SearchConfig(max_label=15), True, ())
-        status, witnesses, nodes, _ = _search_single(prep, ())
-        assert (status, witnesses, nodes) == (Status.EXHAUSTED_NONE, [], 0)
+        # the root run of a search at workers > 1 counts the root's window
+        # and collects one job per first label
+        prep = _Prepared(prism(), SearchConfig(forced_label_sum=74), True, ())
+        jobs = []
+        status, witnesses, nodes, _ = _search_single(prep, collect=jobs)
+        assert (status, witnesses, nodes, len(jobs)) == (Status.EXHAUSTED_NONE, [], 21, 21)
         assert built == [0]
         # a whole search builds each depth it reaches once
         built.clear()
-        _search_single(prep, range(1, 16))
+        _search_single(prep)
         assert sorted(built) == list(range(prep.m))
 
     def test_prepared_pickles(self):
@@ -1255,7 +1281,7 @@ class TestNodeStep:
         # _Prepared must hold no compiled code
         prep = _Prepared(cycle(10), SearchConfig(max_label=15), True, ())
         copy = pickle.loads(pickle.dumps(prep))
-        assert _search_single(copy, range(1, 16)) == _search_single(prep, range(1, 16))
+        assert _search_single(copy) == _search_single(prep)
 
 
 class TestStepMemo:
@@ -1288,14 +1314,19 @@ class TestStepMemo:
     def test_first_label_jobs_compile_each_shape_once(self, monkeypatch):
         from multiprocessing import Value
 
-        # C10's 15 first-label jobs, one after another as one worker runs
-        # them: each depth shape compiles once, however many jobs reach it
+        # C10's 15 first-label jobs without the root's symmetry cap, one
+        # after another as one worker runs them: each depth shape compiles
+        # once, however many jobs reach it
         built = self.count_builds(monkeypatch)
         prep = _Prepared(cycle(10), SearchConfig(max_label=15), True, ())
+        prep.first_labels = range(1, 16)
         found = Value("i", prep.max_label + 1)
-        nodes = sum(_search_single(prep, (v,), found)[2] for v in range(1, 16))
-        assert nodes == 217982
-        assert len(built) == 101  # 15 jobs, each building the depths it reaches
+        jobs = []
+        root = _search_single(prep, collect=jobs)
+        nodes = sum(_search_single(prep, job, found)[2] for job in jobs)
+        # the root counts the 15 first labels once, and no job counts them
+        assert (root[2], nodes) == (15, 217982 - 15)
+        assert len(built) == 87  # the root, then each job's depths from 1
         assert _step_code.cache_info().misses == 6
 
     def test_order6_census_shares_code_across_rows(self, monkeypatch):

@@ -15,11 +15,12 @@ line, that
   - a line with a witness only gains nodes, at most m * max_label: one
     whole window per depth of its search.
 
-Prints a summary per file, with how many lines changed their outcome and
-how many changed only their cost, and every line that fails a check, and
-exits 1 if any does. Only costs may change: a re-pin that moves an outcome
-is a bug, unless a node limit now cuts a search that found its witness
-inside it (which --unlimited tells apart).
+Prints a summary per file, with how many lines changed their outcome, how
+many found searches a node limit now cuts (a found line that is now a
+node-limit line at exactly the limit) and how many changed only their cost,
+and every line that fails a check, and exits 1 if any does. Only costs may
+change: a re-pin that moves an outcome is a bug. A search that a node limit
+now cuts may have only grown its tree, which --unlimited tells apart.
 
 --unlimited checks a change that counts the same trees in a new unit, which
 the checks above cannot tell from a change of tree. Every search of
@@ -91,16 +92,20 @@ def compare(name: str, rev: str) -> list[str]:
         bounds = list(_search_golden_bounds())
     else:  # search lines give max_label, census rows t_gp, the largest label there
         bounds = [None] * len(new_lines)
-    errors, tally, gains, outcome_changes, cost_changes = [], {}, [], 0, 0
+    errors, tally, gains, outcome_changes, cut, cost_changes = [], {}, [], 0, 0, 0
     for i, (a, b, bound) in enumerate(zip(old_lines, new_lines, bounds), 1):
         was, now = json.loads(a), json.loads(b)
         kind = _kind(was)
         tally[kind] = tally.get(kind, 0) + 1
         where = f"{name}:{i}"
         outcome = any(was.get(key) != now.get(key) for key in OUTCOMES)
-        outcome_changes += outcome
+        limited = outcome and kind == "found" and now.get("status") == "node-limit" and now["nodes"] == NODE_LIMIT
+        cut += limited
+        outcome_changes += outcome and not limited
         cost_changes += not outcome and a != b
-        if outcome:
+        if limited:
+            errors.append(f"{where}: a node limit now cuts a found search: check with --unlimited")
+        elif outcome:
             errors.append(f"{where}: outcome changed")
         elif kind in ("exhausted", "other"):
             if a != b:
@@ -118,7 +123,8 @@ def compare(name: str, rev: str) -> list[str]:
             gains.append(gain)
     kinds = ", ".join(f"{n} {kind}" for kind, n in sorted(tally.items()))
     print(f"{name}: {len(new_lines)} lines ({kinds}); {len(errors)} failing; "
-          f"{outcome_changes} outcome changes, {cost_changes} cost-only changes; "
+          f"{outcome_changes} outcome changes, {cut} found searches now cut by the node limit, "
+          f"{cost_changes} cost-only changes; "
           f"{sum(g > 0 for g in gains)} of {len(gains)} found lines gain nodes, "
           f"{sum(gains):+,} in all, {max(gains, default=0):+,} at most; "
           f"node total {sum(json.loads(x).get('nodes', 0) for x in old_lines):,} -> "
