@@ -314,29 +314,6 @@ class TestDeterminism:
         assert (out.status, out.nodes_explored) == (Status.NODE_LIMIT, 16)
         assert len(out.witnesses) == 1
 
-    @pytest.mark.parametrize("workers", [2, 3])
-    @pytest.mark.parametrize(
-        "name,make,mode",
-        [
-            ("C3", lambda: cycle(3), Mode.LEECH),
-            ("C4", lambda: cycle(4), Mode.LEECH),
-            ("K4", lambda: complete(4), Mode.LEECH),
-            ("prism", prism, Mode.LEECH),
-            ("W5", lambda: wheel(5), Mode.LEECH),
-            ("W6", lambda: wheel(6), Mode.LEECH),
-            ("W7", lambda: wheel(7), Mode.ALMOST),
-            ("P4", lambda: path(4), Mode.ALMOST),
-        ],
-    )
-    def test_workers_return_the_single_worker_witness(self, name, make, mode, workers):
-        # the results are read in label order up to the first witness, so
-        # the witness is the first one in single-worker search order, and
-        # the counts are those of one worker
-        one = search(make(), SearchConfig(mode=mode))
-        many = search(make(), SearchConfig(mode=mode), workers=workers)
-        assert one.status is Status.FOUND
-        assert replace(many, elapsed=0) == replace(one, elapsed=0)
-
     @pytest.mark.parametrize(
         "make,cfg",
         [(lambda: cycle(3), SearchConfig()), (lambda: cycle(4), SearchConfig()), (lambda: complete(4), SearchConfig()),
@@ -352,8 +329,10 @@ class TestDeterminism:
              "C4-all", "P4-almost-all", "E~^G", "E~nW", "EznW", "Ez~w", "E~~G"],
     )
     def test_outcome_is_the_same_at_every_worker_count(self, make, cfg):
-        # the root runs in this process and every job's subtree is counted
-        # whole or up to its witness, so counts agree as well as witnesses
+        # the root runs in this process, every job's subtree is counted whole
+        # or up to its witness, and the results are read in label order up to
+        # the first witness: the witness is the first in single-worker search
+        # order, and the counts are those of one worker
         one, *many = (replace(search(make(), cfg, workers=w), elapsed=0) for w in (1, 2, 3))
         assert many == [one, one]
 
@@ -507,8 +486,12 @@ class TestLimits:
         assert (out.status, out.witnesses) == (Status.TIMED_OUT, ())
 
     def test_time_limit_is_one_deadline_per_search(self):
-        # 31 first-label jobs; a deadline per job would run past the limit
-        out = search(cycle(10), SearchConfig(max_label=31, time_limit=0.3), workers=2)
+        # the prism at sum 74 without weight_bound and weight_duplicate keeps
+        # its 21 first labels and runs for over 20 s, 14 of its jobs for over
+        # 0.3 s each, so a deadline per job would run past 2 s at two workers
+        cfg, off = SearchConfig(forced_label_sum=74, time_limit=0.3), ("weight_bound", "weight_duplicate")
+        assert len(_Prepared(prism(), cfg, True, off).first_labels) == 21
+        out = search(prism(), cfg, workers=2, disabled_rules=off)
         assert out.status is Status.TIMED_OUT
         assert out.elapsed < 1.5
 
@@ -1259,7 +1242,7 @@ class TestNodeStep:
             run_step(prep, d, CountingLabels([1] * prep.m), state)
             assert CountingLabels.reads == len([o for o, _ in group if o])
 
-    def test_root_probe_compiles_nothing_past_the_root(self, monkeypatch):
+    def test_collecting_root_run_compiles_nothing_past_the_root(self, monkeypatch):
         module = importlib.import_module("leechlab.search")
         built = []
         real = module._node_step
