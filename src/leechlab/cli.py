@@ -256,8 +256,8 @@ def _feasibility_payload(res) -> dict:
 def _parse_range(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition("..")
     lo, hi = _ascii_int(lo), _ascii_int(hi)
-    if not sep or lo is None or hi is None:
-        raise _CliError(f"--range wants A..B in ASCII digits, got {text!r}", EXIT_USAGE)
+    if not sep or lo is None or hi is None or lo > hi:
+        raise _CliError(f"--range wants A..B in ASCII digits with A <= B, got {text!r}", EXIT_USAGE)
     return lo, hi
 
 

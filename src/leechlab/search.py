@@ -15,7 +15,10 @@ every search. It prunes with:
                       on the sum (Leech) or within (t-1)//k of it (almost)
   sum_divisibility    Leech mode: the weighted sum sum_e k_e*a_e is T =
                       t(t+1)/2, so T less its running value must be a
-                      multiple of the gcd of the coefficients k left
+                      multiple of the gcd G of the coefficients k left. It
+                      is always one of P = gcd(T, the k placed), so the test
+                      is emitted only at depths where G does not divide P,
+                      and the weighted sum only in searches with such a depth
   weight_bound        a completed geodesic may not weigh more than t
   weight_duplicate    duplicate weights are forbidden (Leech) or limited to
                       a single doubled value (almost)
@@ -204,7 +207,7 @@ class _Prepared:
     """Static data shared by every node of one search, and its deadline."""
 
     __slots__ = (
-        "mode", "paths", "t", "m", "order", "k_by_depth",
+        "mode", "paths", "t", "m", "order", "k_by_depth", "divisors",
         "max_label", "plain_lo", "plain_hi", "forced_sum", "completed_at", "rules",
         "find_all", "deadline", "node_limit", "leech", "symmetry", "first_labels",
     )
@@ -256,7 +259,12 @@ class _Prepared:
                     (last,) = edges
                     completes[last] += 1
         pos = {eid: d for d, eid in enumerate(self.order)}
-        self.k_by_depth = [c.per_edge[eid] for eid in self.order]
+        self.k_by_depth = k = [c.per_edge[eid] for eid in self.order]
+        # each depth's divisor G where its test can cut (sum_divisibility), else 0
+        rest = list(itertools.accumulate(reversed(k), math.gcd))[::-1]
+        done = itertools.accumulate(k, math.gcd, initial=_weight_total(t))
+        test = self.leech and "sum_divisibility" in self.rules
+        self.divisors = [g if test and p % g else 0 for p, g in zip(done, rest)]
 
         if cfg.max_label is not None:
             self.max_label = min(cfg.max_label, t)
@@ -342,11 +350,11 @@ def _step_code(shape):
     process. The source names every value of its search and depth (edge ids,
     bounds, floors, k, masks, the next depth) as a free variable, so the code
     serves every depth, search and job of its shape; _node_step binds them."""
-    params, distinct, budget, wbound, gcd, lines, bases, floors, n_sym = shape
+    params, distinct, budget, wbound, divisor, lines, bases, floors, n_sym = shape
     name = {-1: "0", **{i: f"b{i}" for i in range(len(lines))}}  # base -1 is the edge's own
     free = "free" if distinct else "window"
     body = []
-    if gcd:  # the weighted sum to go, T - wsum, is a multiple of G
+    if divisor:  # the weighted sum to go, T - wsum, is a multiple of G
         body += ["if (T - wsum) % G:", "    sum_divisibility += 1", "    return"]
     if "psum" in params:
         body += ["if psum < PLO or psum > PHI:", "    sum_bound += 1", "    return"]
@@ -366,8 +374,10 @@ def _step_code(shape):
     body += ["if lo > hi:", "    return", "window = (2 << hi) - (1 << lo)"]
     if distinct:
         body += ["taken = window & wmask", "free = window ^ taken", "distinct_label += taken.bit_count()"]
-    survivors = free
-    if budget is not None:
+    survivors, bad = free, 0
+    # free has lost every taken weight, so base -1 (the bare wmask) hits none of it
+    hits = [b for b in bases if b >= 0 or not distinct]
+    if budget is not None and hits:
         # label v gives a base a taken weight exactly when bit v of wmask >>
         # base is set; one mask misses a repeated base, and is not enough
         # while one collision is within the budget. Labels are positive, so a
@@ -376,23 +386,23 @@ def _step_code(shape):
         up = {-1: {-1}}
         for i, prev in enumerate(lines):
             up[i] = up[prev] | {i}
-        apart = all(a != b and (a in up[b] or b in up[a]) for a, b in itertools.combinations(bases, 2))
+        apart = all(a != b and (a in up[b] or b in up[a]) for a, b in itertools.combinations(hits, 2))
         exact = (["not dups"] if budget else []) + ([] if apart else [f"bb.bit_count() < {len(bases)}"])
-        fast = "any_hit = " + " | ".join("wmask" if b < 0 else f"wmask >> b{b}" for b in bases)
+        fast = "any_hit = " + " | ".join("wmask" if b < 0 else f"wmask >> b{b}" for b in hits)
         if exact:
-            listed = ", ".join(name[b] for b in bases)
+            listed = ", ".join(name[b] for b in hits)
             body += [f"if {' or '.join(exact)}:", f"    any_hit, two_hit = _exact_hits(({listed},), wmask, TMASK)",
                      "else:", "    " + fast]
         else:
             body.append(fast)
         body += [f"bad = {'(any_hit if dups else two_hit)' if budget else 'any_hit'} & {free}",
                  "weight_duplicate += bad.bit_count()"]
-        survivors = f"{free} ^ bad"
+        survivors, bad = f"{free} ^ bad", "bad"
     # weight_bound keeps every new weight at most t
     child = {**_CHILD, "wmask": "wmask | bb << v"} if wbound else _CHILD
     descend = f"v = low.bit_length() - 1; labels[EID] = v; nxt({', '.join(child[p] for p in params)})"
     # count the whole window, poll if one is due, then descend into the survivors
-    body += [f"nodes += {free}.bit_count()", "if nodes >= due:", f"    poll({free}, {0 if budget is None else 'bad'})",
+    body += [f"nodes += {free}.bit_count()", "if nodes >= due:", f"    poll({free}, {bad})",
              f"survivors = {survivors}", "while survivors:", "    low = survivors & -survivors", "    survivors ^= low",
              f"    {descend}"]
     names = [*_COUNTS, "labels", "due", "poll", "nxt", "EID", "K", "G", "T", "PLO", "PHI", "VMAX", "T1",
@@ -412,14 +422,13 @@ def _node_step(prep: _Prepared, d: int, shared: dict):
     _CHILD's keys, whose counts, labels, next depth (nxt), due and poll are
     the cells in shared; the root's labels stop at the symmetry cap. It
     counts its whole window, calls poll(free, bad) once the node count
-    reaches due, then descends."""
+    reaches due, then descends. It tests divisibility only where the test can
+    cut, and takes wsum only if some depth does (sum_divisibility, above)."""
     rules, t = prep.rules, prep.t
     wdup = "weight_duplicate" in rules
     distinct = prep.leech and "distinct_label" in rules
-    divisible = prep.leech and "sum_divisibility" in rules
-    gcd = math.gcd(*prep.k_by_depth[d:])  # of the coefficients of the weighted sum to go
     plain = "sum_bound" in rules and prep.plain_lo is not None
-    params = tuple(p for p, on in zip(_CHILD, (divisible, plain, wdup and not prep.leech, wdup or distinct)) if on)
+    params = tuple(p for p, on in zip(_CHILD, (any(prep.divisors), plain, wdup and not prep.leech, wdup or distinct)) if on)
     # name each geodesic's partial weight (its base) once: a geodesic less an
     # end edge is one with the same last edge, completed here and shorter
     names = {frozenset(): -1}
@@ -436,7 +445,7 @@ def _node_step(prep: _Prepared, d: int, shared: dict):
             floors.append(names[key])
             raised.append(floor)
     values = {
-        "EID": prep.order[d], "K": prep.k_by_depth[d], "G": gcd, "T": _weight_total(t),
+        "EID": prep.order[d], "K": prep.k_by_depth[d], "G": prep.divisors[d], "T": _weight_total(t),
         "VMAX": prep.max_label if d else len(prep.first_labels),
         "T1": t + 1, "TMASK": (2 << t) - 1,  # bit w for every weight 0..t
         **{f"E{i}": e for i, e in enumerate(cuts)}, **{f"F{j}": f for j, f in enumerate(raised)},
@@ -450,7 +459,7 @@ def _node_step(prep: _Prepared, d: int, shared: dict):
         values.update(PLO=prep.plain_lo - most, PHI=prep.plain_hi - least)
     code = _step_code((
         params, distinct, (0 if prep.leech else 1) if wdup else None, "weight_bound" in rules,
-        divisible and gcd > 1, tuple(lines), tuple(bases), tuple(floors), len(prep.symmetry[d]),
+        prep.divisors[d] > 0, tuple(lines), tuple(bases), tuple(floors), len(prep.symmetry[d]),
     ))
     closure = tuple(shared[n] if n in shared else types.CellType(values[n]) for n in code.co_freevars)
     return types.FunctionType(code, globals(), f"depth_{d}", None, closure)

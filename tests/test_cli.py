@@ -518,7 +518,7 @@ class TestOutsideText:
         assert (code, out) == (EXIT_USAGE, "")
         assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("bounds", ["\u0663..+5", "3..+5", " 3..5", "3..5_0"])
+    @pytest.mark.parametrize("bounds", ["\u0663..+5", "3..+5", " 3..5", "3..5_0", "5..3"])
     def test_malformed_range_is_one_usage_line(self, capsys, bounds):
         code, out, err = run(capsys, "feasible", "--family", "cycle:n", "--range", bounds)
         assert (code, out) == (EXIT_USAGE, "")

@@ -1,5 +1,6 @@
 """Backtracking search: statuses, oracle equivalence, pruning neutrality."""
 
+import dis
 import importlib
 import itertools
 import math
@@ -656,16 +657,17 @@ class TestDerivedBounds:
         assert (none.status, none.nodes_explored) == (Status.EXHAUSTED_NONE, 99492)
 
     @pytest.mark.parametrize("make, cfg, params", [
-        (lambda: cycle(10), SearchConfig(max_label=15), ("wsum", "wmask")),
-        (lambda: wheel(6), SearchConfig(), ("wsum", "wmask")),
+        (lambda: cycle(10), SearchConfig(max_label=15), ("wmask",)),
+        (lambda: wheel(6), SearchConfig(), ("wmask",)),
         (lambda: cycle(9), SearchConfig(mode=Mode.ALMOST), ("dups", "wmask")),
         (lambda: wheel(7), SearchConfig(mode=Mode.ALMOST), ("dups", "wmask")),
     ], ids=["C10-15", "W6", "C9-almost", "W7-almost"])
     def test_derived_sum_is_left_to_the_weighted_sum(self, make, cfg, params):
         # every edge on k geodesics: the derived label sum T/k is the weighted
         # sum T over k, which the verdict holds, so the steps carry no plain
-        # sum of their own; Leech steps carry the weighted sum for its
-        # divisibility test, and almost steps, which derive no sum, neither
+        # sum of their own; Leech steps carry the weighted sum only for a
+        # divisibility test that can cut, which C10 and W6 have at no depth,
+        # and almost steps, which derive no sum, carry neither
         prep = _Prepared(make(), cfg, True, ())
         assert (prep.forced_sum is not None) is prep.leech
         state = dict.fromkeys(("wsum", "psum", "dups", "wmask"), 0)
@@ -1157,18 +1159,17 @@ def run_step(prep, d, labels, state, due=math.inf):
 class TestNodeStep:
     def check_steps(self, prep, rng, trials, top):
         """Every depth's node step against plain_step, with a poll due or not,
-        on random labels 1..top for the edges placed before it, weighted sums
-        up to T, plain sums near the depth's window, and random weight sets."""
-        total = prep.t * (prep.t + 1) // 2
+        on random labels 1..top for the edges placed before it, their
+        weighted sum, as a search passes it, plain sums near the depth's
+        window, and random weight sets. plain_step tests divisibility at every
+        depth, so this also checks that no test the step leaves out could cut."""
         for d in range(prep.m):
-            gcd, (pmin, pmax) = suffix_bounds(prep, d)
+            _, (pmin, pmax) = suffix_bounds(prep, d)
             for _ in range(trials):
                 labels = [0] * prep.m
                 for e in prep.order[:d]:
                     labels[e] = rng.randint(1, top)
-                wsum = rng.randint(0, total)
-                if rng.random() < 0.75:  # mostly past the divisibility test
-                    wsum += (total - wsum) % gcd
+                wsum = sum(k * labels[e] for k, e in zip(prep.k_by_depth, prep.order[:d]))
                 psum = sum(labels)
                 if prep.plain_lo is not None and rng.random() < 0.75:
                     psum = rng.randint(prep.plain_lo - pmax - 1, prep.plain_hi - pmin + 1)
@@ -1224,6 +1225,35 @@ class TestNodeStep:
             for g, mode in ((cycle(8), Mode.LEECH), (wheel(5), Mode.LEECH), (wheel(5), Mode.ALMOST)):
                 prep = _Prepared(g, SearchConfig(mode=mode), True, (rule,))
                 self.check_steps(prep, rng, 20, prep.max_label)
+
+    def test_divisibility_is_tested_only_where_it_can_cut(self):
+        # T - wsum at depth d is a multiple of P_d = gcd(T, k_0, ..., k_{d-1}),
+        # so its test against G_d = gcd(k_d, ..., k_{m-1}) can cut only when
+        # G_d does not divide P_d; wsum is passed only if some depth tests it
+        nx = pytest.importorskip("networkx")
+        graphs = [build_graph(a.number_of_nodes(), list(a.edges()))
+                  for a in nx.graph_atlas_g() if a.number_of_edges() and a.number_of_nodes() <= 6]
+        graphs += [cycle(n) for n in range(3, 13)] + [complete(n) for n in range(2, 9)]
+        graphs += [complete_bipartite(n, n) for n in range(1, 6)] + [wheel(n) for n in range(5, 9)]
+        cells = {name: types.CellType(0) for name in (*_COUNTS, "labels", "due", "poll", "nxt")}
+        runs = [(g, SearchConfig()) for g in graphs] + [(prism(), SearchConfig(forced_label_sum=74))]
+        for g, cfg in runs:
+            prep = _Prepared(g, cfg, True, ())
+            total, ks = prep.t * (prep.t + 1) // 2, prep.k_by_depth
+            live = [bool(math.gcd(total, *ks[:d]) % math.gcd(*ks[d:])) for d in range(prep.m)]
+            for d in range(prep.m):
+                code = _node_step(prep, d, cells).__code__
+                modulo = any(i.opname == "BINARY_MODULO" or i.argrepr == "%" for i in dis.get_instructions(code))
+                assert modulo is live[d], (g.edges, d)
+                assert ("wsum" in code.co_varnames[:code.co_argcount]) is any(live), (g.edges, d)
+        # C10's steps take the weight set alone
+        prep = _Prepared(cycle(10), SearchConfig(max_label=15), True, ())
+        for d in range(prep.m):
+            code = _node_step(prep, d, cells).__code__
+            assert code.co_varnames[:code.co_argcount] == ("wmask",)
+        # K3,3 keeps its test at the root, which cuts the whole search
+        out = search(complete_bipartite(3, 3))
+        assert (out.status, out.nodes_explored, out.pruning_stats) == (Status.EXHAUSTED_NONE, 0, {"sum_divisibility": 1})
 
     def test_source_grows_one_label_per_geodesic(self):
         # each base is a named base plus one label, never a sum of all its
